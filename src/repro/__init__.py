@@ -29,7 +29,7 @@ Quickstart::
 """
 
 from repro.algebra.rules import RewriteConfig
-from repro.cache import SCAN_MODES, SegmentCache, resolve_scan_mode
+from repro.cache import SegmentCache
 from repro.compiler.pipeline import CompiledQuery, compile_query
 from repro.data.catalog import CollectionCatalog, InMemorySource
 from repro.data.generator import SensorDataConfig, write_sensor_collection
@@ -110,7 +110,6 @@ __all__ = [
     "RetryPolicy",
     "RewriteAudit",
     "RewriteConfig",
-    "SCAN_MODES",
     "SegmentCache",
     "SensorDataConfig",
     "SequentialBackend",
@@ -119,7 +118,6 @@ __all__ = [
     "SlotRestartEvent",
     "SpillError",
     "TenantQuota",
-    "resolve_scan_mode",
     "ThreadBackend",
     "WorkerCrashError",
     "compile_query",

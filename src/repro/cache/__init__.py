@@ -6,15 +6,11 @@ columnar segment keyed by ``(source id, content fingerprint, canonical
 projection, malformed-input policy)``; later scans with an unchanged
 fingerprint deserialize the segment straight into items — no JSON is
 touched.  See :mod:`repro.cache.segments` for the format and
-:mod:`repro.cache.config` for scan-mode / cache-directory resolution
-(``REPRO_SCAN_MODE`` / ``REPRO_SEGMENT_CACHE``).
+:mod:`repro.cache.config` for cache-directory resolution
+(``REPRO_SEGMENT_CACHE``).
 """
 
-from repro.cache.config import (
-    SCAN_MODES,
-    resolve_scan_mode,
-    resolve_segment_cache,
-)
+from repro.cache.config import resolve_segment_cache
 from repro.cache.segments import (
     CachedSegment,
     SegmentCache,
@@ -24,8 +20,6 @@ from repro.cache.segments import (
 )
 
 __all__ = [
-    "SCAN_MODES",
-    "resolve_scan_mode",
     "resolve_segment_cache",
     "CachedSegment",
     "SegmentCache",

@@ -1,31 +1,15 @@
-"""Scan-mode and segment-cache resolution (explicit > env > default).
+"""Segment-cache resolution (explicit > env > default).
 
-Scan modes select the per-record projector used by every DATASCAN:
-
-- ``ondemand`` (default) — the structural-index scanner
-  (:mod:`repro.jsonlib.tape`): one tokenizing pass builds a tape, the
-  projection navigates it lazily, non-projected subtrees are jumped by
-  offset arithmetic.
-- ``text`` — the raw-text skipper (:mod:`repro.jsonlib.textscan`),
-  the canonical reference implementation.
-- ``eager`` — parse every record fully, then navigate the materialized
-  item (the pre-PR-7 naive baseline; kept for benchmarking and for the
-  differential harness's scan-mode axis).
-
-All three produce byte-identical items, errors, and degradation
-records; they differ only in speed and in which diagnostic counters
-they populate.
+DATASCAN always projects raw JSON with the on-demand tape scanner
+(:mod:`repro.jsonlib.tape`); what is configurable is whether its
+results are kept in the columnar segment cache and how cached files
+are fingerprinted.
 """
 
 from __future__ import annotations
 
 from repro.envutil import env_setting
 from repro.errors import ReproError
-
-SCAN_MODES = ("ondemand", "text", "eager")
-
-#: Environment default for :func:`resolve_scan_mode`.
-SCAN_MODE_ENV = "REPRO_SCAN_MODE"
 
 #: Environment default for :func:`resolve_segment_cache` (a directory
 #: path; empty/unset disables the cache).
@@ -39,24 +23,6 @@ FINGERPRINT_MODES = ("stat", "content")
 
 #: Environment default for :func:`resolve_fingerprint_mode`.
 FINGERPRINT_ENV = "REPRO_CACHE_FINGERPRINT"
-
-
-def validate_scan_mode(mode: str) -> str:
-    if mode not in SCAN_MODES:
-        raise ReproError(
-            f"unknown scan mode {mode!r}; expected one of {', '.join(SCAN_MODES)}"
-        )
-    return mode
-
-
-def resolve_scan_mode(mode: str | None = None) -> str:
-    """Resolve a scan mode: explicit argument > $REPRO_SCAN_MODE > ondemand."""
-    if mode is not None:
-        return validate_scan_mode(mode)
-    env = env_setting(SCAN_MODE_ENV, "")
-    if env:
-        return validate_scan_mode(env)
-    return "ondemand"
 
 
 def validate_fingerprint_mode(mode: str) -> str:

@@ -8,10 +8,12 @@ Runs each query through the full matrix of
 - DATASCAN projection on/off (off replaces the projecting scanners
   with :class:`EagerNavigationSource`: parse everything, then
   navigate — the definitional semantics),
-- scan modes (:data:`SCAN_MODE_AXIS`: ``eager`` parse-then-navigate,
-  ``ondemand`` structural-index tape, ``cached-warm`` on-demand through
-  the segment cache compared on the warm execution) — every projected
-  cell runs all three and the items *and* degradation reports must be
+- scan modes (:data:`SCAN_MODE_AXIS`: ``eager`` — the harness's own
+  parse-then-navigate reference scanner (:func:`eager_scan_text`), run
+  through the sources' per-file routine; ``ondemand`` — the product's
+  structural-index tape; ``cached-warm`` — the tape through the segment
+  cache, compared on the warm execution) — every projected cell runs
+  all three and the items *and* degradation reports must be
   byte-identical, not merely canonically equal,
 - bounded memory (a :data:`SPILL_BUDGET_BYTES` budget tiny enough to
   force the blocking operators through their spill-to-disk paths),
@@ -53,13 +55,14 @@ from repro.correctness.generator import (
     generate_cases,
 )
 from repro.correctness.oracle import oracle_result
-from repro.data.catalog import InMemorySource
+from repro.data.catalog import InMemorySource, blank_bom, read_json_file
 from repro.data.generator import SensorDataConfig, generate_file_text
 from repro.errors import ReproError
 from repro.hyracks.backends import BACKENDS
-from repro.jsonlib.items import canonical_item
-from repro.jsonlib.parser import parse_many
-from repro.jsonlib.path import navigate_sequence
+from repro.jsonlib.items import Item, canonical_item
+from repro.jsonlib.parser import parse_many, parse_many_resilient
+from repro.jsonlib.path import Path, navigate_sequence
+from repro.jsonlib.textscan import ScanCounters
 from repro.processor import JsonProcessor
 from repro.resilience.faults import FaultPlan
 
@@ -114,6 +117,71 @@ def canonical_result(items: list) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# The eager reference scanner
+# ---------------------------------------------------------------------------
+
+
+def eager_scan_text(
+    text: str,
+    path: Path,
+    on_malformed: str = "fail",
+    recorder=None,
+    counters: ScanCounters | None = None,
+) -> list[Item]:
+    """Reference scan: parse every record fully, then navigate.
+
+    Same signature and contract as :func:`repro.jsonlib.tape.scan_text`.
+    A leading BOM is blanked (not stripped) so recorder offsets line up
+    with the tape's.  Only ``matched`` is counted — eager parsing has no
+    notion of a skipped subtree.
+    """
+    text = blank_bom(text)
+    if on_malformed == "skip_record":
+        records = parse_many_resilient(
+            text, on_malformed="skip_record", recorder=recorder
+        )
+    else:
+        records = parse_many(text)
+    projected = navigate_sequence(records, path)
+    if counters is not None:
+        counters.matched += len(projected)
+    return projected
+
+
+def eager_scan_file(
+    file_path: str,
+    path: Path,
+    on_malformed: str = "fail",
+    recorder=None,
+    counters: ScanCounters | None = None,
+) -> list[Item]:
+    """File twin of :func:`eager_scan_text` (BOM dropped, as ``scan_file``)."""
+    return eager_scan_text(
+        read_json_file(file_path), path, on_malformed=on_malformed,
+        recorder=recorder, counters=counters,
+    )
+
+
+class EagerScanSource(InMemorySource):
+    """An :class:`InMemorySource` whose per-text scanner is the eager
+    reference — the ``eager`` cell of :data:`SCAN_MODE_AXIS`.
+
+    Policy handling, labels, counters and skip events all come from the
+    shared per-file routine, so only the scanner differs from the
+    ``ondemand`` cell it is byte-compared with.
+    """
+
+    _scan = staticmethod(eager_scan_text)
+
+    @classmethod
+    def twin_of(cls, source: InMemorySource) -> "EagerScanSource":
+        """A copy of *source* (same texts, policy, cache, statistics)."""
+        twin = cls.__new__(cls)
+        twin.__setstate__(source.__getstate__())
+        return twin
+
+
+# ---------------------------------------------------------------------------
 # The projection-off data source
 # ---------------------------------------------------------------------------
 
@@ -123,7 +191,7 @@ class EagerNavigationSource:
 
     ``scan_collection`` is re-implemented as "materialize every item,
     then navigate the path" — the definitional semantics the projecting
-    scanners (event projector, raw-text skipper) must be equivalent to.
+    tape scanner must be equivalent to.
     Module-level and state-free so it pickles to process workers.
     """
 
@@ -150,12 +218,10 @@ class EagerNavigationSource:
     def attach_scan_counters(self, counters):
         self._inner.attach_scan_counters(counters)
 
-    def configure_scan(self, scan_mode=None, segment_cache_dir=None):
+    def configure_scan(self, segment_cache_dir=None):
         configure = getattr(self._inner, "configure_scan", None)
         if configure is not None:
-            configure(
-                scan_mode=scan_mode, segment_cache_dir=segment_cache_dir
-            )
+            configure(segment_cache_dir=segment_cache_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -281,18 +347,20 @@ class _MatrixRunner:
     ):
         """Run one cell; returns the full :class:`QueryResult`.
 
-        ``scan_mode="cached-warm"`` executes twice through the shared
-        segment cache and returns the warm result — the one whose items
-        came from segment files.
+        ``scan_mode="eager"`` runs an :class:`EagerScanSource` twin of
+        the (in-memory) *source*; ``scan_mode="cached-warm"`` executes
+        twice through the shared segment cache and returns the warm
+        result — the one whose items came from segment files.
         """
         configure = getattr(source, "configure_scan", None)
         if configure is not None:
-            if scan_mode == "cached-warm":
-                configure(
-                    scan_mode="ondemand", segment_cache_dir=self._cache_dir
+            configure(
+                segment_cache_dir=(
+                    self._cache_dir if scan_mode == "cached-warm" else ""
                 )
-            else:
-                configure(scan_mode=scan_mode, segment_cache_dir="")
+            )
+        if scan_mode == "eager":
+            source = EagerScanSource.twin_of(source)
         if projection == "eager":
             source = EagerNavigationSource(source)
         processor = JsonProcessor(

@@ -6,12 +6,14 @@ and implements the :class:`~repro.algebra.context.DataSource` protocol:
 
 - ``read_collection`` materializes every item (the naive strategy the
   un-rewritten plans use),
-- ``scan_collection`` streams items through the projecting parser (the
-  DATASCAN strategy),
+- ``scan_collection`` streams items through the on-demand tape scanner
+  (:mod:`repro.jsonlib.tape`) — the DATASCAN strategy,
 - ``partition_count`` drives partitioned-parallel execution.
 
 :class:`InMemorySource` provides the same protocol over in-memory JSON
-texts, for tests and small examples.
+texts, for tests and small examples.  Both run one per-file routine
+(:class:`_ScanSource`); a source only says how to list, read,
+tape-scan and fingerprint its files or texts.
 
 Both sources take an ``on_malformed`` policy (``fail`` | ``skip_record``
 | ``skip_file``) deciding what a scan does with malformed JSON, and an
@@ -25,135 +27,81 @@ import os
 import threading
 from typing import Iterator
 
-from repro.cache.config import (
-    resolve_fingerprint_mode,
-    resolve_scan_mode,
-    resolve_segment_cache,
-    validate_fingerprint_mode,
-    validate_scan_mode,
-)
-from repro.cache.segments import (
-    SegmentCache,
-    canonical_projection,
-    text_fingerprint,
-)
+from repro.cache.config import resolve_segment_cache, validate_fingerprint_mode
+from repro.cache.segments import canonical_projection, text_fingerprint
 from repro.errors import FileScanError, JsonError, ReproError
 from repro.jsonlib import tape
 from repro.jsonlib.items import Item
 from repro.jsonlib.parser import parse, parse_many, parse_many_resilient
-from repro.jsonlib.path import Path, navigate_sequence
-from repro.jsonlib.projection import project_file
-from repro.jsonlib.textscan import ScanCounters, scan_file, scan_text
+from repro.jsonlib.path import Path
+from repro.jsonlib.textscan import ScanCounters
 from repro.resilience.policies import validate_on_malformed
 from repro.stats.sampling import SourceStatistics
 
 _BOM = "\ufeff"
 
 
-def _eager_scan_text(
-    text: str,
-    path: Path,
-    on_malformed: str = "fail",
-    recorder=None,
-    counters: ScanCounters | None = None,
-) -> list[Item]:
-    """Eager-mode scan: parse every record fully, then navigate.
+def _normalize(name: str) -> str:
+    return "/" + name.strip("/")
 
-    The pre-PR-7 baseline, kept as ``scan_mode="eager"``.  A leading
-    BOM is blanked (not stripped) so recorder offsets line up with the
-    skipper's.  Only ``matched`` is counted — eager parsing has no
-    notion of a skipped subtree.
+
+def blank_bom(text: str) -> str:
+    """Replace a leading byte-order mark with a space.
+
+    The scanners accept a BOM-prefixed text (RFC 8259); the parser does
+    not.  Blanking rather than stripping keeps every later offset where
+    the scanner reports it, so ``skip_record`` events line up.
     """
-    if text.startswith(_BOM):
-        text = " " + text[1:]
-    if on_malformed == "skip_record":
-        records = parse_many_resilient(
-            text, on_malformed="skip_record", recorder=recorder
-        )
-    else:
-        records = parse_many(text)
-    projected = navigate_sequence(records, path)
-    if counters is not None:
-        counters.matched += len(projected)
-    return projected
+    return " " + text[1:] if text.startswith(_BOM) else text
 
 
-def _eager_scan_file(
-    file_path: str,
-    path: Path,
-    on_malformed: str = "fail",
-    recorder=None,
-    counters: ScanCounters | None = None,
-) -> list[Item]:
-    """File twin of :func:`_eager_scan_text` (``utf-8-sig``, like scan_file)."""
+def read_json_file(file_path: str) -> str:
+    """A JSON file's text, a leading BOM dropped (as ``tape.scan_file``)."""
     with open(file_path, "r", encoding="utf-8-sig") as handle:
-        text = handle.read()
-    return _eager_scan_text(
-        text, path, on_malformed=on_malformed, recorder=recorder,
-        counters=counters,
-    )
+        return handle.read()
 
 
-#: scan mode -> (file scanner, text scanner); all three produce
-#: byte-identical items, errors and skip events.
-_SCANNERS = {
-    "ondemand": (tape.scan_file, tape.scan_text),
-    "text": (scan_file, scan_text),
-    "eager": (_eager_scan_file, _eager_scan_text),
-}
+class _ScanSource:
+    """Everything the two sources share: the malformed-input policy, the
+    segment cache, per-thread attachments, and the one per-file routine
+    behind ``read_collection`` and ``scan_collection``.
 
-
-class CollectionCatalog:
-    """Registry of partitioned on-disk collections.
-
-    Collections register explicitly (``register``) or are discovered from
-    a base directory whose layout is
-    ``<base>/<collection>/partition<i>/*.json``.
+    A subclass keeps its collections in ``_collections`` (normalized
+    name -> partitions) and supplies ``_entries`` (``(label, source)``
+    per file or text), ``_read_text``, ``_scan`` (the tape scanner for
+    its kind of source) and ``_fingerprint``.
     """
 
     def __init__(
         self,
-        base_dir: str | None = None,
-        on_malformed: str = "fail",
-        scan_mode: str | None = None,
-        segment_cache_dir: str | None = None,
-        fingerprint_mode: str | None = None,
-        stats_sample: int | None = None,
+        on_malformed: str,
+        segment_cache_dir: str | None,
+        fingerprint_mode: str | None,
+        stats_sample: int | None,
     ):
-        self._collections: dict[str, list[list[str]]] = {}
         self.on_malformed = validate_on_malformed(on_malformed)
-        self.scan_mode = resolve_scan_mode(scan_mode)
         self.segment_cache = resolve_segment_cache(
             segment_cache_dir, fingerprint_mode
         )
         self.stats = SourceStatistics(stats_sample)
         self._local = threading.local()
-        if base_dir is not None:
-            self.discover(base_dir)
 
     def configure_scan(
         self,
-        scan_mode: str | None = None,
         segment_cache_dir: str | None = None,
         fingerprint_mode: str | None = None,
     ) -> None:
-        """Override the scan mode and/or segment cache after construction.
+        """Override the segment cache after construction.
 
         ``None`` leaves a setting untouched; an empty
         ``segment_cache_dir`` string disables the cache.
         ``fingerprint_mode`` (``"stat"`` | ``"content"``) selects how
-        cached segments detect file changes.
+        cached files detect changes; in-memory texts are always keyed
+        by content hash.
         """
-        if scan_mode is not None:
-            self.scan_mode = validate_scan_mode(scan_mode)
         if segment_cache_dir is not None:
-            self.segment_cache = (
-                SegmentCache(
-                    segment_cache_dir,
-                    fingerprint_mode=resolve_fingerprint_mode(fingerprint_mode),
-                )
-                if segment_cache_dir
-                else None
+            self.segment_cache = resolve_segment_cache(
+                segment_cache_dir, fingerprint_mode
             )
         elif fingerprint_mode is not None and self.segment_cache is not None:
             self.segment_cache.fingerprint_mode = validate_fingerprint_mode(
@@ -183,8 +131,8 @@ class CollectionCatalog:
     def attach_scan_counters(self, counters) -> None:
         """Attach (or detach, with None) projection scan counters.
 
-        While attached, every raw-text scan accumulates its projection
-        hit/skip counts on *counters* (a
+        While attached, every scan accumulates its projection hit/skip
+        counts on *counters* (a
         :class:`~repro.jsonlib.textscan.ScanCounters`).  Per thread,
         like :meth:`attach_degradation`.
         """
@@ -192,7 +140,7 @@ class CollectionCatalog:
 
     def __getstate__(self):
         # The report/counters attachments are per-thread runtime state;
-        # a pickled catalog (a process-backend work unit) starts detached.
+        # a pickled source (a process-backend work unit) starts detached.
         state = self.__dict__.copy()
         del state["_local"]
         return state
@@ -202,14 +150,224 @@ class CollectionCatalog:
         self._local = threading.local()
 
     def _record_skipped_record(
-        self, file_path: str, offset: int | None, message: str
+        self, label: str, offset: int | None, message: str
     ) -> None:
         if self._report is not None:
-            self._report.record_skipped_record(file_path, offset, message)
+            self._report.record_skipped_record(label, offset, message)
 
-    def _record_skipped_file(self, file_path: str, cause: Exception) -> None:
+    def _record_skipped_file(self, label: str, cause: Exception) -> None:
         if self._report is not None:
-            self._report.record_skipped_file(file_path, cause)
+            self._report.record_skipped_file(label, cause)
+
+    def _record_cache_event(self, kind: str, label: str, message: str) -> None:
+        if self._report is not None:
+            self._report.record_cache_event(kind, label, message)
+
+    def _recorder(self, label: str):
+        def record(offset: int | None, message: str) -> None:
+            self._record_skipped_record(label, offset, message)
+
+        return record
+
+    # -- collections ---------------------------------------------------------------
+
+    def _partitions(self, name: str) -> list:
+        key = _normalize(name)
+        if key not in self._collections:
+            raise ReproError(f"unknown collection {name!r}")
+        return self._collections[key]
+
+    def partition_count(self, name: str) -> int:
+        """Number of partitions of a collection."""
+        return len(self._partitions(name))
+
+    def collection_stats(self, name: str):
+        """Sampled :class:`~repro.stats.sampling.CollectionStats` (or None)."""
+        return self.stats.collection_stats(self, name)
+
+    def refresh_stats(self, name: str | None = None) -> None:
+        """Drop sampled statistics so the next consumer re-samples."""
+        self.stats.invalidate(name)
+
+    # -- the per-file routine ------------------------------------------------------
+
+    def read_collection(self, name: str, partition: int | None = None) -> list[Item]:
+        """Materialize every top-level item of the collection."""
+        items: list[Item] = []
+        for label, source in self._entries(name, partition):
+            text = self._read_text(source)
+            if self.on_malformed == "skip_record":
+                items.extend(
+                    parse_many_resilient(
+                        text,
+                        on_malformed="skip_record",
+                        recorder=self._recorder(label),
+                    )
+                )
+                continue
+            try:
+                items.extend(parse_many(text))
+            except JsonError as error:
+                if self.on_malformed == "fail":
+                    raise FileScanError(label, error) from error
+                self._record_skipped_file(label, error)
+        return items
+
+    def scan_collection(
+        self, name: str, path: Path, partition: int | None = None
+    ) -> Iterator[Item]:
+        """Stream the collection's items projected through *path*.
+
+        Memory is bounded by the largest file (``skip_file`` buffers one
+        file's matches; a cached file is one segment).
+        """
+        for label, source in self._entries(name, partition):
+            if self.segment_cache is not None:
+                yield from self._scan_cached(label, source, path)
+                continue
+            counters = self._counters
+            if self.on_malformed == "skip_record":
+                yield from self._scan(
+                    source,
+                    path,
+                    on_malformed="skip_record",
+                    recorder=self._recorder(label),
+                    counters=counters,
+                )
+            elif self.on_malformed == "skip_file":
+                # Buffer the file's matches so a mid-file error drops the
+                # whole file, not just its tail.
+                try:
+                    items = list(self._scan(source, path, counters=counters))
+                except JsonError as error:
+                    self._record_skipped_file(label, error)
+                    continue
+                yield from items
+            else:
+                try:
+                    yield from self._scan(source, path, counters=counters)
+                except JsonError as error:
+                    raise FileScanError(label, error) from error
+
+    def _scan_cached(self, label: str, source, path: Path) -> list[Item]:
+        """Serve one file from the segment cache, scanning cold on miss.
+
+        The observable behaviour — items, errors, skip events, and the
+        ``matched``/``skipped`` counter deltas — is byte-identical with
+        the uncached scan: a cold scan stages its counters and merges
+        them even when the scan fails mid-file (matching the direct
+        pass-through), a hit replays the stored deltas and skip events.
+        Only complete scans are stored; a failed or skipped file is
+        rescanned next time.
+        """
+        counters = self._counters
+        cache = self.segment_cache
+        policy = self.on_malformed
+        projection = canonical_projection(path)
+        fingerprint = None
+        if cache.disabled_reason is None:
+            # Cache-off degradation (disabled_reason set): scan cold,
+            # skip probe and store.
+            fingerprint = self._fingerprint(source)
+        if fingerprint is not None:
+            segment, status = cache.load_classified(
+                label, fingerprint, projection, policy
+            )
+            if segment is not None:
+                if counters is not None:
+                    counters.cache_hits += 1
+                    counters.absorb(segment.counters)
+                for offset, message in segment.skip_events:
+                    self._record_skipped_record(label, offset, message)
+                return segment.items
+            if status == "corrupt":
+                if counters is not None:
+                    counters.cache_corrupt += 1
+                self._record_cache_event(
+                    "corrupt",
+                    label,
+                    "segment failed its integrity check; rescanned cold",
+                )
+            elif status == "io-error":
+                self._record_cache_event(
+                    "io-error", label, "segment read failed; rescanned cold"
+                )
+                if cache.disabled_reason is not None:
+                    self._record_cache_event(
+                        "disabled", label, cache.disabled_reason
+                    )
+        if counters is not None:
+            counters.cache_misses += 1
+        attempt = ScanCounters()
+        events: list[tuple[int | None, str]] = []
+        if policy == "skip_record":
+            def recorder(offset: int | None, message: str) -> None:
+                events.append((offset, message))
+                self._record_skipped_record(label, offset, message)
+
+            items = list(self._scan(
+                source,
+                path,
+                on_malformed="skip_record",
+                recorder=recorder,
+                counters=attempt,
+            ))
+        else:
+            try:
+                items = list(self._scan(source, path, counters=attempt))
+            except JsonError as error:
+                if counters is not None:
+                    counters.merge(attempt)
+                if policy == "fail":
+                    raise FileScanError(label, error) from error
+                self._record_skipped_file(label, error)
+                return []
+        if counters is not None:
+            counters.merge(attempt)
+        if fingerprint is not None:
+            stored = cache.store(
+                label, fingerprint, projection, policy,
+                items, attempt.as_dict(), events,
+            )
+            if not stored and cache.disabled_reason is not None:
+                self._record_cache_event("disabled", label, cache.disabled_reason)
+        return items
+
+
+class CollectionCatalog(_ScanSource):
+    """Registry of partitioned on-disk collections.
+
+    Collections register explicitly (``register``) or are discovered from
+    a base directory whose layout is
+    ``<base>/<collection>/partition<i>/*.json``.
+    """
+
+    _scan = staticmethod(tape.scan_file)
+    _read_text = staticmethod(read_json_file)
+
+    def __init__(
+        self,
+        base_dir: str | None = None,
+        on_malformed: str = "fail",
+        segment_cache_dir: str | None = None,
+        fingerprint_mode: str | None = None,
+        stats_sample: int | None = None,
+    ):
+        super().__init__(
+            on_malformed, segment_cache_dir, fingerprint_mode, stats_sample
+        )
+        self._collections: dict[str, list[list[str]]] = {}
+        if base_dir is not None:
+            self.discover(base_dir)
+
+    def _entries(self, name: str, partition: int | None) -> list[tuple[str, str]]:
+        return [(path, path) for path in self.files(name, partition)]
+
+    def _fingerprint(self, file_path: str):
+        try:
+            return self.segment_cache.source_fingerprint(file_path)
+        except OSError:
+            return None
 
     # -- registration ----------------------------------------------------------
 
@@ -219,10 +377,10 @@ class CollectionCatalog:
         Registration invalidates the collection's sampled statistics;
         the next stats consumer re-samples the fresh data.
         """
-        self._collections[self._normalize(name)] = [
+        self._collections[_normalize(name)] = [
             list(files) for files in partitions
         ]
-        self.stats.invalidate(self._normalize(name))
+        self.stats.invalidate(_normalize(name))
 
     def register_directory(self, name: str, directory: str) -> None:
         """Register ``directory`` (with ``partition<i>`` subdirs) as *name*.
@@ -271,21 +429,7 @@ class CollectionCatalog:
                 f"no collection directories found under {base_dir!r}"
             )
 
-    @staticmethod
-    def _normalize(name: str) -> str:
-        return "/" + name.strip("/")
-
-    def _partitions(self, name: str) -> list[list[str]]:
-        key = self._normalize(name)
-        if key not in self._collections:
-            raise ReproError(f"unknown collection {name!r}")
-        return self._collections[key]
-
     # -- DataSource protocol ----------------------------------------------------
-
-    def partition_count(self, name: str) -> int:
-        """Number of partitions of a collection."""
-        return len(self._partitions(name))
 
     def files(self, name: str, partition: int | None = None) -> list[str]:
         """File paths of one partition (or all of them)."""
@@ -297,6 +441,10 @@ class CollectionCatalog:
     def total_bytes(self, name: str, partition: int | None = None) -> int:
         """On-disk size of a collection (or one partition)."""
         return sum(os.path.getsize(path) for path in self.files(name, partition))
+
+    def read_document(self, uri: str) -> Item:
+        """Materialize a single JSON document by file path."""
+        return parse(read_json_file(uri))
 
     # -- statistics --------------------------------------------------------------
 
@@ -311,8 +459,7 @@ class CollectionCatalog:
         def file_texts(files: list[str]):
             for file_path in files:
                 try:
-                    with open(file_path, "r", encoding="utf-8-sig") as handle:
-                        yield handle.read()
+                    yield read_json_file(file_path)
                 except OSError:
                     continue
 
@@ -327,10 +474,6 @@ class CollectionCatalog:
             out.append((file_texts(files), total))
         return out
 
-    def collection_stats(self, name: str):
-        """Sampled :class:`~repro.stats.sampling.CollectionStats` (or None)."""
-        return self.stats.collection_stats(self, name)
-
     def stats_snapshot(self, names=None):
         """A :class:`~repro.stats.sampling.StatsSnapshot` over *names*.
 
@@ -341,300 +484,35 @@ class CollectionCatalog:
             names = sorted(self._collections)
         return self.stats.snapshot(self, names)
 
-    def refresh_stats(self, name: str | None = None) -> None:
-        """Drop sampled statistics so the next consumer re-samples."""
-        self.stats.invalidate(name)
 
-    def read_document(self, uri: str) -> Item:
-        """Materialize a single JSON document by file path."""
-        with open(uri, "r", encoding="utf-8") as handle:
-            return parse(handle.read())
-
-    def read_collection(self, name: str, partition: int | None = None) -> list[Item]:
-        """Materialize every top-level item of the collection."""
-        items: list[Item] = []
-        for path in self.files(name, partition):
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-            if self.on_malformed == "skip_record":
-                items.extend(
-                    parse_many_resilient(
-                        text,
-                        on_malformed="skip_record",
-                        recorder=self._recorder(path),
-                    )
-                )
-            elif self.on_malformed == "skip_file":
-                try:
-                    items.extend(parse_many(text))
-                except JsonError as error:
-                    self._record_skipped_file(path, error)
-            else:
-                try:
-                    items.extend(parse_many(text))
-                except JsonError as error:
-                    raise FileScanError(path, error) from error
-        return items
-
-    def scan_collection(
-        self, name: str, path: Path, partition: int | None = None
-    ) -> Iterator[Item]:
-        """Stream the collection's items projected through *path*.
-
-        Uses the fast raw-text scanner (memory bounded by the largest
-        file); :meth:`stream_collection` offers the chunked event-based
-        projector when even one file must not be held in memory.
-        """
-        for file_path in self.files(name, partition):
-            yield from self._scan_one(file_path, path)
-
-    def _scan_one(self, file_path: str, path: Path) -> Iterator[Item]:
-        if self.segment_cache is not None:
-            yield from self._scan_one_cached(file_path, path)
-            return
-        counters = self._counters
-        scan = _SCANNERS[self.scan_mode][0]
-        if self.on_malformed == "skip_record":
-            yield from scan(
-                file_path,
-                path,
-                on_malformed="skip_record",
-                recorder=self._recorder(file_path),
-                counters=counters,
-            )
-        elif self.on_malformed == "skip_file":
-            # Buffer the file's matches so a mid-file error drops the
-            # whole file, not just its tail (memory stays file-bounded,
-            # the same bound scan_file already has).
-            try:
-                items = list(scan(file_path, path, counters=counters))
-            except JsonError as error:
-                self._record_skipped_file(file_path, error)
-                return
-            yield from items
-        else:
-            try:
-                yield from scan(file_path, path, counters=counters)
-            except JsonError as error:
-                raise FileScanError(file_path, error) from error
-
-    def _scan_one_cached(self, file_path: str, path: Path) -> list[Item]:
-        """Serve one file from the segment cache, scanning cold on miss.
-
-        The observable behaviour — items, errors, skip events, and the
-        ``matched``/``skipped`` counter deltas — is byte-identical with
-        the uncached scan: a cold scan stages its counters and merges
-        them even when the scan fails mid-file (matching the direct
-        pass-through), a hit replays the stored deltas and skip events.
-        Only complete scans are stored; a failed or skipped file is
-        rescanned next time.
-        """
-        counters = self._counters
-        cache = self.segment_cache
-        policy = self.on_malformed
-        projection = canonical_projection(path)
-        if cache.disabled_reason is not None:
-            # Cache-off degradation: scan cold, skip probe and store.
-            fingerprint = None
-        else:
-            try:
-                fingerprint = cache.source_fingerprint(file_path)
-            except OSError:
-                fingerprint = None
-        if fingerprint is not None:
-            segment, status = cache.load_classified(
-                file_path, fingerprint, projection, policy
-            )
-            if segment is not None:
-                if counters is not None:
-                    counters.cache_hits += 1
-                    counters.absorb(segment.counters)
-                for offset, message in segment.skip_events:
-                    self._record_skipped_record(file_path, offset, message)
-                return segment.items
-            if status == "corrupt":
-                if counters is not None:
-                    counters.cache_corrupt += 1
-                self._record_cache_event(
-                    "corrupt",
-                    file_path,
-                    "segment failed its integrity check; rescanned cold",
-                )
-            elif status == "io-error":
-                self._record_cache_event(
-                    "io-error", file_path, "segment read failed; rescanned cold"
-                )
-                if cache.disabled_reason is not None:
-                    self._record_cache_event(
-                        "disabled", file_path, cache.disabled_reason
-                    )
-        if counters is not None:
-            counters.cache_misses += 1
-        attempt = ScanCounters()
-        events: list[tuple[int | None, str]] = []
-        scan = _SCANNERS[self.scan_mode][0]
-        if policy == "skip_record":
-            def recorder(offset: int | None, message: str) -> None:
-                events.append((offset, message))
-                self._record_skipped_record(file_path, offset, message)
-
-            items = list(scan(
-                file_path,
-                path,
-                on_malformed="skip_record",
-                recorder=recorder,
-                counters=attempt,
-            ))
-        elif policy == "skip_file":
-            try:
-                items = list(scan(file_path, path, counters=attempt))
-            except JsonError as error:
-                if counters is not None:
-                    counters.merge(attempt)
-                self._record_skipped_file(file_path, error)
-                return []
-        else:
-            try:
-                items = list(scan(file_path, path, counters=attempt))
-            except JsonError as error:
-                if counters is not None:
-                    counters.merge(attempt)
-                raise FileScanError(file_path, error) from error
-        if counters is not None:
-            counters.merge(attempt)
-        if fingerprint is not None:
-            stored = cache.store(
-                file_path, fingerprint, projection, policy,
-                items, attempt.as_dict(), events,
-            )
-            if not stored and cache.disabled_reason is not None:
-                self._record_cache_event(
-                    "disabled", file_path, cache.disabled_reason
-                )
-        return items
-
-    def _record_cache_event(self, kind: str, source: str, message: str) -> None:
-        if self._report is not None:
-            self._report.record_cache_event(kind, source, message)
-
-    def _recorder(self, file_path: str):
-        def record(offset: int | None, message: str) -> None:
-            self._record_skipped_record(file_path, offset, message)
-
-        return record
-
-    def stream_collection(
-        self, name: str, path: Path, partition: int | None = None
-    ) -> Iterator[Item]:
-        """Chunked event-based projection (memory bounded by chunk size).
-
-        The event stream cannot resync past malformed input, so both
-        skip policies degrade to truncating the broken file's remainder
-        (recorded as a skipped file).
-        """
-        counters = self._counters
-        for file_path in self.files(name, partition):
-            if self.on_malformed == "fail":
-                try:
-                    yield from project_file(file_path, path, counters=counters)
-                except JsonError as error:
-                    raise FileScanError(file_path, error) from error
-            else:
-                truncated: list[str] = []
-
-                def record(offset, message, _path=file_path):
-                    truncated.append(f"{message} (rest of file dropped)")
-
-                yield from project_file(
-                    file_path, path, on_malformed=self.on_malformed,
-                    recorder=record, counters=counters,
-                )
-                for message in truncated:
-                    self._record_skipped_file(file_path, ReproError(message))
-
-
-class InMemorySource:
+class InMemorySource(_ScanSource):
     """DataSource over in-memory JSON texts (tests, small examples).
 
     ``collections`` maps names to lists of partitions, each partition a
     list of JSON texts; ``documents`` maps URIs to JSON texts.
     """
 
+    _scan = staticmethod(tape.scan_text)
+    _read_text = staticmethod(blank_bom)
+    _fingerprint = staticmethod(text_fingerprint)
+
     def __init__(
         self,
         collections: dict[str, list[list[str]]] | None = None,
         documents: dict[str, str] | None = None,
         on_malformed: str = "fail",
-        scan_mode: str | None = None,
         segment_cache_dir: str | None = None,
         fingerprint_mode: str | None = None,
         stats_sample: int | None = None,
     ):
+        super().__init__(
+            on_malformed, segment_cache_dir, fingerprint_mode, stats_sample
+        )
         self._collections = {
-            CollectionCatalog._normalize(name): partitions
+            _normalize(name): partitions
             for name, partitions in (collections or {}).items()
         }
         self._documents = dict(documents or {})
-        self.on_malformed = validate_on_malformed(on_malformed)
-        self.scan_mode = resolve_scan_mode(scan_mode)
-        self.segment_cache = resolve_segment_cache(
-            segment_cache_dir, fingerprint_mode
-        )
-        self.stats = SourceStatistics(stats_sample)
-        self._local = threading.local()
-
-    def configure_scan(
-        self,
-        scan_mode: str | None = None,
-        segment_cache_dir: str | None = None,
-        fingerprint_mode: str | None = None,
-    ) -> None:
-        """Override scan mode / segment cache (None leaves untouched).
-
-        ``fingerprint_mode`` is accepted for interface symmetry with
-        :class:`CollectionCatalog`; in-memory texts are always keyed by
-        content hash, so the mode changes nothing here.
-        """
-        if scan_mode is not None:
-            self.scan_mode = validate_scan_mode(scan_mode)
-        if segment_cache_dir is not None:
-            self.segment_cache = (
-                SegmentCache(
-                    segment_cache_dir,
-                    fingerprint_mode=resolve_fingerprint_mode(fingerprint_mode),
-                )
-                if segment_cache_dir
-                else None
-            )
-        elif fingerprint_mode is not None and self.segment_cache is not None:
-            self.segment_cache.fingerprint_mode = validate_fingerprint_mode(
-                fingerprint_mode
-            )
-
-    @property
-    def _report(self):
-        return getattr(self._local, "report", None)
-
-    @property
-    def _counters(self):
-        return getattr(self._local, "scan_counters", None)
-
-    def attach_degradation(self, report) -> None:
-        """Attach (or detach, with None) a degradation report (per thread)."""
-        self._local.report = report
-
-    def attach_scan_counters(self, counters) -> None:
-        """Attach (or detach, with None) scan counters (per thread)."""
-        self._local.scan_counters = counters
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_local"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._local = threading.local()
 
     def add_document(self, uri: str, text: str) -> None:
         """Register a document text under *uri*."""
@@ -646,41 +524,13 @@ class InMemorySource:
         Like :meth:`CollectionCatalog.register`, invalidates the
         collection's sampled statistics.
         """
-        self._collections[CollectionCatalog._normalize(name)] = partitions
-        self.stats.invalidate(CollectionCatalog._normalize(name))
+        self._collections[_normalize(name)] = partitions
+        self.stats.invalidate(_normalize(name))
 
-    def stats_partitions(self, name: str) -> list:
-        """Per-partition ``(texts, total_bytes)`` pairs for the sampler."""
-        key = CollectionCatalog._normalize(name)
-        if key not in self._collections:
-            raise ReproError(f"unknown collection {name!r}")
-        return [
-            (list(texts), sum(len(text) for text in texts))
-            for texts in self._collections[key]
-        ]
-
-    def collection_stats(self, name: str):
-        """Sampled :class:`~repro.stats.sampling.CollectionStats` (or None)."""
-        return self.stats.collection_stats(self, name)
-
-    def stats_snapshot(self, names=None):
-        """A :class:`~repro.stats.sampling.StatsSnapshot` over *names*."""
-        if names is None:
-            names = sorted(self._collections)
-        return self.stats.snapshot(self, names)
-
-    def refresh_stats(self, name: str | None = None) -> None:
-        """Drop sampled statistics so the next consumer re-samples."""
-        self.stats.invalidate(name)
-
-    def _texts(
-        self, name: str, partition: int | None
-    ) -> list[tuple[str, str]]:
+    def _entries(self, name: str, partition: int | None) -> list[tuple[str, str]]:
         """(label, text) pairs of one partition (or all of them)."""
-        key = CollectionCatalog._normalize(name)
-        if key not in self._collections:
-            raise ReproError(f"unknown collection {name!r}")
-        partitions = self._collections[key]
+        key = _normalize(name)
+        partitions = self._partitions(name)
         if partition is None:
             return [
                 (f"{key}[partition {p}] text {i}", text)
@@ -692,172 +542,20 @@ class InMemorySource:
             for i, text in enumerate(partitions[partition])
         ]
 
-    def partition_count(self, name: str) -> int:
-        key = CollectionCatalog._normalize(name)
-        if key not in self._collections:
-            raise ReproError(f"unknown collection {name!r}")
-        return len(self._collections[key])
-
     def read_document(self, uri: str) -> Item:
         if uri not in self._documents:
             raise ReproError(f"unknown document {uri!r}")
-        return parse(self._documents[uri])
+        return parse(blank_bom(self._documents[uri]))
 
-    def read_collection(self, name: str, partition: int | None = None) -> list[Item]:
-        items: list[Item] = []
-        for label, text in self._texts(name, partition):
-            if self.on_malformed == "skip_record":
-                items.extend(
-                    parse_many_resilient(
-                        text,
-                        on_malformed="skip_record",
-                        recorder=self._recorder(label),
-                    )
-                )
-            elif self.on_malformed == "skip_file":
-                try:
-                    items.extend(parse_many(text))
-                except JsonError as error:
-                    self._record_skipped_file(label, error)
-            else:
-                try:
-                    items.extend(parse_many(text))
-                except JsonError as error:
-                    raise FileScanError(label, error) from error
-        return items
+    def stats_partitions(self, name: str) -> list:
+        """Per-partition ``(texts, total_bytes)`` pairs for the sampler."""
+        return [
+            (list(texts), sum(len(text) for text in texts))
+            for texts in self._partitions(name)
+        ]
 
-    def scan_collection(
-        self, name: str, path: Path, partition: int | None = None
-    ) -> Iterator[Item]:
-        counters = self._counters
-        scan = _SCANNERS[self.scan_mode][1]
-        for label, text in self._texts(name, partition):
-            if self.segment_cache is not None:
-                yield from self._scan_one_cached(label, text, path)
-                continue
-            if self.on_malformed == "skip_record":
-                yield from scan(
-                    text,
-                    path,
-                    on_malformed="skip_record",
-                    recorder=self._recorder(label),
-                    counters=counters,
-                )
-            elif self.on_malformed == "skip_file":
-                try:
-                    items = list(scan(text, path, counters=counters))
-                except JsonError as error:
-                    self._record_skipped_file(label, error)
-                    continue
-                yield from items
-            else:
-                try:
-                    yield from scan(text, path, counters=counters)
-                except JsonError as error:
-                    raise FileScanError(label, error) from error
-
-    def _scan_one_cached(self, label: str, text: str, path: Path) -> list[Item]:
-        """Cached twin of one ``scan_collection`` step (content-hash keyed).
-
-        Same contract as ``CollectionCatalog._scan_one_cached``; the
-        fingerprint is a content hash, so edited texts simply produce a
-        new key (no staleness window at all).
-        """
-        counters = self._counters
-        cache = self.segment_cache
-        policy = self.on_malformed
-        projection = canonical_projection(path)
-        fingerprint = None
-        if cache.disabled_reason is None:
-            fingerprint = text_fingerprint(text)
-            segment, status = cache.load_classified(
-                label, fingerprint, projection, policy
-            )
-            if segment is not None:
-                if counters is not None:
-                    counters.cache_hits += 1
-                    counters.absorb(segment.counters)
-                if self._report is not None:
-                    for offset, message in segment.skip_events:
-                        self._report.record_skipped_record(
-                            label, offset, message
-                        )
-                return segment.items
-            if status == "corrupt":
-                if counters is not None:
-                    counters.cache_corrupt += 1
-                self._record_cache_event(
-                    "corrupt",
-                    label,
-                    "segment failed its integrity check; rescanned cold",
-                )
-            elif status == "io-error":
-                self._record_cache_event(
-                    "io-error", label, "segment read failed; rescanned cold"
-                )
-                if cache.disabled_reason is not None:
-                    self._record_cache_event(
-                        "disabled", label, cache.disabled_reason
-                    )
-        if counters is not None:
-            counters.cache_misses += 1
-        attempt = ScanCounters()
-        events: list[tuple[int | None, str]] = []
-        scan = _SCANNERS[self.scan_mode][1]
-        if policy == "skip_record":
-            report = self._report
-
-            def recorder(offset: int | None, message: str) -> None:
-                events.append((offset, message))
-                if report is not None:
-                    report.record_skipped_record(label, offset, message)
-
-            items = list(scan(
-                text,
-                path,
-                on_malformed="skip_record",
-                recorder=recorder,
-                counters=attempt,
-            ))
-        elif policy == "skip_file":
-            try:
-                items = list(scan(text, path, counters=attempt))
-            except JsonError as error:
-                if counters is not None:
-                    counters.merge(attempt)
-                self._record_skipped_file(label, error)
-                return []
-        else:
-            try:
-                items = list(scan(text, path, counters=attempt))
-            except JsonError as error:
-                if counters is not None:
-                    counters.merge(attempt)
-                raise FileScanError(label, error) from error
-        if counters is not None:
-            counters.merge(attempt)
-        if fingerprint is not None:
-            stored = cache.store(
-                label, fingerprint, projection, policy,
-                items, attempt.as_dict(), events,
-            )
-            if not stored and cache.disabled_reason is not None:
-                self._record_cache_event(
-                    "disabled", label, cache.disabled_reason
-                )
-        return items
-
-    def _recorder(self, label: str):
-        def record(offset: int | None, message: str) -> None:
-            if self._report is not None:
-                self._report.record_skipped_record(label, offset, message)
-
-        return record
-
-    def _record_cache_event(self, kind: str, source: str, message: str) -> None:
-        if self._report is not None:
-            self._report.record_cache_event(kind, source, message)
-
-    def _record_skipped_file(self, label: str, cause: Exception) -> None:
-        if self._report is not None:
-            self._report.record_skipped_file(label, cause)
+    def stats_snapshot(self, names=None):
+        """A :class:`~repro.stats.sampling.StatsSnapshot` over *names*."""
+        if names is None:
+            names = sorted(self._collections)
+        return self.stats.snapshot(self, names)

@@ -18,7 +18,7 @@ ambiguity, so every ``REPRO_*`` variable now resolves through
 
 Variables resolved through this rule: ``REPRO_BACKEND``,
 ``REPRO_SPILL_DIR``, ``REPRO_DEADLINE``, ``REPRO_PROFILE``,
-``REPRO_SCAN_MODE``, ``REPRO_SEGMENT_CACHE``,
+``REPRO_SEGMENT_CACHE``,
 ``REPRO_CACHE_FINGERPRINT``, ``REPRO_STATS_SAMPLE``, ``REPRO_COST``.
 For most of them the built-in default *is* the off/neutral setting, so
 rules 2 and 3 currently coincide for an empty string — the contract

@@ -8,10 +8,11 @@ parsing layer that Apache VXQuery relies on.  It provides:
 - :mod:`repro.jsonlib.items` — the JSONiq item model and helpers,
 - :mod:`repro.jsonlib.serializer` — items back to JSON text,
 - :mod:`repro.jsonlib.path` — navigation paths (value / keys-or-members),
-- :mod:`repro.jsonlib.projection` — the path-projecting streaming parser
-  that powers the DATASCAN operator's second argument (Section 4.2 of the
+- :mod:`repro.jsonlib.tape` — the on-demand projecting scanner that
+  powers the DATASCAN operator's second argument (Section 4.2 of the
   paper): it emits only the sub-items matched by a path without ever
-  materializing the enclosing document.
+  materializing the enclosing document, and hands malformed records to
+  the raw-text skipper (:mod:`repro.jsonlib.textscan`).
 """
 
 from repro.jsonlib.events import Event, EventKind
@@ -33,7 +34,6 @@ from repro.jsonlib.path import (
     navigate,
     parse_path,
 )
-from repro.jsonlib.projection import project_file, project_text
 from repro.jsonlib.serializer import dump, dumps
 
 __all__ = [
@@ -56,7 +56,5 @@ __all__ = [
     "navigate",
     "parse",
     "parse_path",
-    "project_file",
-    "project_text",
     "sizeof_item",
 ]

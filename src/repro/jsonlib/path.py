@@ -10,8 +10,8 @@ Section 3.2 of the paper:
 
 Paths serve two purposes here.  :func:`navigate` evaluates a path against
 a materialized item (the naive execution strategy), and
-:mod:`repro.jsonlib.projection` evaluates a path directly against a
-parse-event stream (the optimized DATASCAN strategy of Section 4.2).
+:mod:`repro.jsonlib.tape` evaluates a path directly against the raw
+text (the optimized DATASCAN strategy of Section 4.2).
 The equivalence of the two is a property-based test invariant.
 """
 

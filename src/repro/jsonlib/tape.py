@@ -27,8 +27,8 @@ Counting semantics (duplicate-key last-occurrence-wins recounting,
 keys-or-members deduplication, bulk array skips counting once) mirror
 ``textscan`` exactly.  Malformed records are re-projected with the raw
 skipper, which is the canonical definition of error messages, offsets
-and partial counts — so degradation reports stay byte-identical across
-scan modes, and a record truncated at the sliding-buffer edge raises
+and partial counts — so degradation reports stay byte-identical with
+the skipper's, and a record truncated at the sliding-buffer edge raises
 just like the skipper does, letting ``scan_file``'s grow-and-retry
 machinery work unchanged.
 """
@@ -166,7 +166,7 @@ def build_tape(text: str, pos: int, depth_limit: int) -> tuple[RecordTape, int]:
                 # single span, interior untokenized.  _skip_value is the
                 # skipper's own bracket hop, so leniency (and behaviour
                 # on hostile quoting) inside skipped subtrees is
-                # byte-identical with scan_mode="text".
+                # byte-identical with textscan.
                 end = _skip_value(text, start)
                 kinds.append(_SUBTREE)
                 starts.append(start)
@@ -505,7 +505,7 @@ def project_record(
     tape-side :class:`~repro.errors.JsonSyntaxError` falls back to the
     raw skipper's projector — the canonical definition of malformed
     behaviour — so errors, offsets and degradation records are
-    byte-identical with ``scan_mode="text"``.
+    byte-identical with :mod:`repro.jsonlib.textscan`.
     """
     pos = _skip_ws(text, pos)
     if pos >= len(text):

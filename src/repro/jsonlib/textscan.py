@@ -1,15 +1,17 @@
 """Raw-text path projection: skip what the path doesn't need, fast.
 
-The event-based projector (:mod:`repro.jsonlib.projection`) avoids
-*building* unmatched values but still tokenizes every byte.  This module
-goes further, in the spirit of structural-index JSON scanners (Mison —
-cited as related work in the paper): values that the path does not need
-are **skipped at string-search speed** — one regex hop per structural
+In the spirit of structural-index JSON scanners (Mison — cited as
+related work in the paper), values that the path does not need are
+**skipped at string-search speed** — one regex hop per structural
 character, with string literals jumped over by quote search — and only
 the matched slices are handed to the real parser.
 
-This is the scanner behind DATASCAN's projection argument on file
-sources.  Its contract is equivalence with the reference strategy::
+DATASCAN runs the on-demand tape (:mod:`repro.jsonlib.tape`), which
+plugs its per-record projector into this module's ``scan_text`` /
+``scan_file`` machinery and hands every malformed record back to the
+skipper here — the canonical definition of error messages, offsets and
+partial counts.  Its contract is equivalence with the reference
+strategy::
 
     list(scan_text(text, path)) == navigate(parse(text), path)
 

@@ -89,13 +89,6 @@ class JsonProcessor:
         :class:`~repro.errors.QueryTimeoutError` and releases every
         spill file on the way out.  ``None`` consults the
         ``REPRO_DEADLINE`` environment variable.
-    scan_mode:
-        How DATASCAN projects raw JSON: ``"ondemand"`` (structural-index
-        scanner, the default), ``"text"`` (raw-text skipper), or
-        ``"eager"`` (parse fully, then navigate).  All three are
-        byte-identical in results, errors and degradation reports.
-        ``None`` leaves the source's own setting (which consults the
-        ``REPRO_SCAN_MODE`` environment variable).
     segment_cache_dir:
         Directory for the binary columnar segment cache; warm reruns of
         an unchanged file × projection deserialize segments instead of
@@ -133,24 +126,20 @@ class JsonProcessor:
         spill: bool = True,
         spill_dir: str | None = None,
         deadline_seconds: float | None = None,
-        scan_mode: str | None = None,
         segment_cache_dir: str | None = None,
         cache_fingerprint: str | None = None,
         cost: bool | None = None,
     ):
         if (
-            scan_mode is not None
-            or segment_cache_dir is not None
-            or cache_fingerprint is not None
+            segment_cache_dir is not None or cache_fingerprint is not None
         ) and source is not None:
             configure = getattr(source, "configure_scan", None)
             if configure is None:
                 raise ReproError(
-                    "this data source does not support scan_mode/"
-                    "segment_cache_dir configuration"
+                    "this data source does not support segment_cache_dir/"
+                    "cache_fingerprint configuration"
                 )
             configure(
-                scan_mode=scan_mode,
                 segment_cache_dir=segment_cache_dir,
                 fingerprint_mode=cache_fingerprint,
             )

@@ -463,9 +463,9 @@ class FaultInjectingSource:
             attach(report)
 
     def configure_scan(
-        self, scan_mode=None, segment_cache_dir=None, fingerprint_mode=None
+        self, segment_cache_dir=None, fingerprint_mode=None
     ) -> None:
-        """Delegate scan-mode/segment-cache configuration to the inner source.
+        """Delegate segment-cache configuration to the inner source.
 
         Any segment cache the inner source ends up with (including one
         just built here) gets the plan's cache-I/O fault hook.
@@ -473,7 +473,6 @@ class FaultInjectingSource:
         configure = getattr(self._source, "configure_scan", None)
         if configure is not None:
             configure(
-                scan_mode=scan_mode,
                 segment_cache_dir=segment_cache_dir,
                 fingerprint_mode=fingerprint_mode,
             )
@@ -551,17 +550,6 @@ class FaultInjectingSource:
         self.plan.begin_attempt(name, partition)
         for index, item in enumerate(
             self._source.scan_collection(name, path, partition)
-        ):
-            if self._corrupted(name, partition, index):
-                continue
-            yield item
-
-    def stream_collection(
-        self, name: str, path: Path, partition: int | None = None
-    ) -> Iterator:
-        self.plan.begin_attempt(name, partition)
-        for index, item in enumerate(
-            self._source.stream_collection(name, path, partition)
         ):
             if self._corrupted(name, partition, index):
                 continue

@@ -11,7 +11,6 @@ import json
 
 import pytest
 
-from repro.cache.config import SCAN_MODES
 from repro.data.catalog import CollectionCatalog, InMemorySource
 from repro.errors import FileScanError, ReproError
 from repro.jsonlib.path import parse_path
@@ -39,7 +38,6 @@ def _pinned_scan_env(monkeypatch):
     # against an explicitly cache-off baseline; the CI leg that runs the
     # suite under REPRO_SEGMENT_CACHE must not leak into those baselines.
     monkeypatch.delenv("REPRO_SEGMENT_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_SCAN_MODE", raising=False)
 
 
 def disk_catalog(tmp_path, text=DOC, **kwargs):
@@ -86,20 +84,6 @@ class TestWarmHits:
         assert cold.tape_records > 0
         assert warm.tape_records == 0
         assert (baseline.cache_hits, baseline.cache_misses) == (0, 0)
-
-    @pytest.mark.parametrize("mode", SCAN_MODES)
-    def test_every_scan_mode_caches_identically(self, tmp_path, mode):
-        plain, _ = disk_catalog(tmp_path, scan_mode=mode)
-        cached, _ = disk_catalog(
-            tmp_path, scan_mode=mode,
-            segment_cache_dir=str(tmp_path / "cache"),
-        )
-        baseline_items, baseline = counted_scan(plain)
-        cold_items, _ = counted_scan(cached)
-        warm_items, warm = counted_scan(cached)
-        assert cold_items == warm_items == baseline_items
-        assert warm.matched == baseline.matched
-        assert warm.skipped == baseline.skipped
 
 
 class TestInvalidation:
@@ -267,8 +251,8 @@ class TestProcessorIntegration:
             def partition_count(self, name):
                 return 1
 
-        with pytest.raises(ReproError, match="scan_mode"):
-            JsonProcessor(source=Bare(), scan_mode="text")
+        with pytest.raises(ReproError, match="segment_cache_dir"):
+            JsonProcessor(source=Bare(), segment_cache_dir="")
 
     def test_projection_counters_identical_across_cache_states(
         self, tmp_path

@@ -1,42 +1,7 @@
-"""Scan-mode and segment-cache configuration resolution."""
+"""Segment-cache configuration resolution."""
 
-import pytest
-
-from repro.cache import SCAN_MODES, SegmentCache, resolve_scan_mode
-from repro.cache.config import (
-    SCAN_MODE_ENV,
-    SEGMENT_CACHE_ENV,
-    resolve_segment_cache,
-    validate_scan_mode,
-)
-from repro.errors import ReproError
-
-
-class TestScanModeResolution:
-    def test_registry(self):
-        assert SCAN_MODES == ("ondemand", "text", "eager")
-
-    def test_default_is_ondemand(self, monkeypatch):
-        monkeypatch.delenv(SCAN_MODE_ENV, raising=False)
-        assert resolve_scan_mode(None) == "ondemand"
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(SCAN_MODE_ENV, "eager")
-        assert resolve_scan_mode("text") == "text"
-
-    def test_env_beats_default(self, monkeypatch):
-        monkeypatch.setenv(SCAN_MODE_ENV, "eager")
-        assert resolve_scan_mode(None) == "eager"
-
-    @pytest.mark.parametrize("bad", ["", "fast", "ondemand ", "TEXT"])
-    def test_invalid_mode_rejected(self, bad):
-        with pytest.raises(ReproError, match="unknown scan mode"):
-            validate_scan_mode(bad)
-
-    def test_invalid_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(SCAN_MODE_ENV, "warp")
-        with pytest.raises(ReproError, match="unknown scan mode"):
-            resolve_scan_mode(None)
+from repro.cache import SegmentCache
+from repro.cache.config import SEGMENT_CACHE_ENV, resolve_segment_cache
 
 
 class TestSegmentCacheResolution:

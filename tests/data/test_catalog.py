@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.algebra.rules import RewriteConfig
 from repro.errors import ReproError
 from repro.data.catalog import CollectionCatalog, InMemorySource
 from repro.jsonlib.path import Path, parse_path
+from repro.processor import JsonProcessor
+from repro.resilience.policies import ON_MALFORMED_POLICIES
 
 
 @pytest.fixture
@@ -66,12 +69,6 @@ class TestReading:
         )
         assert sorted(values) == [0, 0, 1, 1]
 
-    def test_stream_matches_scan(self, disk_catalog):
-        path = parse_path('("i")')
-        fast = list(disk_catalog.scan_collection("/alpha", path))
-        chunked = list(disk_catalog.stream_collection("/alpha", path))
-        assert fast == chunked
-
     def test_read_document(self, disk_catalog):
         uri = disk_catalog.files("/beta")[0]
         assert disk_catalog.read_document(uri) == {"p": 0, "i": 0}
@@ -110,3 +107,53 @@ class TestInMemorySource:
         source = InMemorySource()
         source.add_collection("/c", [["true"]])
         assert source.read_collection("/c") == [True]
+
+
+BOM_QUERY = 'for $r in collection("/c") return $r("v")'
+
+
+def bom_processor(tmp_path, kind, text, policy, rewrite):
+    if kind == "in-memory":
+        return JsonProcessor.in_memory(
+            {"/c": [[text]]}, on_malformed=policy, rewrite=rewrite
+        )
+    directory = tmp_path / "data" / "c"
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / "data.json").write_text(text, encoding="utf-8")
+    return JsonProcessor.from_directory(
+        str(tmp_path / "data"), on_malformed=policy, rewrite=rewrite
+    )
+
+
+def bom_answers(tmp_path, kind, text, policy):
+    """(items, skipped-record offsets) under all rules and under none."""
+    answers = []
+    for rewrite in (RewriteConfig.all(), RewriteConfig.none()):
+        with bom_processor(tmp_path, kind, text, policy, rewrite) as p:
+            result = p.execute(BOM_QUERY)
+        answers.append((
+            result.items,
+            [(r.offset, r.message) for r in result.degradation.skipped_records],
+        ))
+    return answers
+
+
+class TestByteOrderMark:
+    """A leading BOM reads the same through DATASCAN (all rules) and
+    through plain materialization (no rules), on both sources."""
+
+    @pytest.mark.parametrize("policy", ON_MALFORMED_POLICIES)
+    @pytest.mark.parametrize("kind", ["file", "in-memory"])
+    def test_rewrite_configs_agree(self, tmp_path, kind, policy):
+        text = "\ufeff" + '{"v": 1}\n{"v": 2}\n'
+        with_rules, without_rules = bom_answers(tmp_path, kind, text, policy)
+        assert with_rules == without_rules == ([1, 2], [])
+
+    @pytest.mark.parametrize("kind", ["file", "in-memory"])
+    def test_skip_record_offsets_line_up(self, tmp_path, kind):
+        text = "\ufeff" + '{"v": 1}\n{"v": oops}\n{"v": 2}\n'
+        with_rules, without_rules = bom_answers(
+            tmp_path, kind, text, "skip_record"
+        )
+        assert with_rules == without_rules
+        assert with_rules[0] == [1, 2] and len(with_rules[1]) == 1

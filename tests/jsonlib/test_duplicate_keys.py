@@ -3,17 +3,17 @@
 RFC 8259 leaves duplicate-key behaviour to implementations; this one
 follows the common last-occurrence-wins convention (``ItemBuilder``
 assigns ``container[key] = value`` per occurrence, so the last write
-survives).  The projecting scanners — the event projector and the
-raw-text skipper — must emit the *same winner* as parsing the whole
-document and navigating, or DATASCAN projection silently changes query
-results on such documents.
+survives).  The projecting scanners — the on-demand tape DATASCAN runs
+and the raw-text skipper it falls back to — must emit the *same winner*
+as parsing the whole document and navigating, or DATASCAN projection
+silently changes query results on such documents.
 """
 
 import pytest
 
 from repro.jsonlib.parser import parse, parse_many
 from repro.jsonlib.path import navigate, parse_path
-from repro.jsonlib.projection import project_file, project_text
+from repro.jsonlib import tape
 from repro.jsonlib.textscan import ScanCounters, scan_file, scan_text
 
 DUP = '{"a": 1, "b": {"x": 10}, "a": 2, "c": null, "a": 3}'
@@ -38,6 +38,8 @@ class TestParserReference:
 
 
 class TestEventProjector:
+    """The on-demand tape (``tape.scan_text``), DATASCAN's projector."""
+
     @pytest.mark.parametrize(
         "text,path_text",
         [
@@ -48,15 +50,15 @@ class TestEventProjector:
         ],
     )
     def test_matches_parse_then_navigate(self, text, path_text):
-        assert list(project_text(text, parse_path(path_text))) == reference(
+        assert list(tape.scan_text(text, parse_path(path_text))) == reference(
             text, path_text
         )
 
     def test_duplicate_key_yields_last_value_once(self):
-        assert list(project_text(DUP, parse_path('("a")'))) == [3]
+        assert list(tape.scan_text(DUP, parse_path('("a")'))) == [3]
 
     def test_keys_or_members_deduplicates(self):
-        assert list(project_text(DUP, parse_path("()"))) == ["a", "b", "c"]
+        assert list(tape.scan_text(DUP, parse_path("()"))) == ["a", "b", "c"]
 
 
 class TestRawTextScanner:
@@ -107,7 +109,7 @@ class TestChunkBoundaries:
         target = tmp_path / "dup.json"
         target.write_text(NESTED_DUP, encoding="utf-8")
         got = list(
-            project_file(
+            tape.scan_file(
                 str(target), parse_path('("r")("v")'), chunk_size=chunk_size
             )
         )

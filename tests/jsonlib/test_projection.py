@@ -1,11 +1,10 @@
-"""Unit tests for the path-projecting streaming parser."""
+"""DATASCAN projection: the on-demand tape scanner on small documents."""
 
 import pytest
 
-from repro.errors import JsonSyntaxError
 from repro.jsonlib.parser import parse
 from repro.jsonlib.path import Path, navigate, parse_path
-from repro.jsonlib.projection import project_events, project_file, project_text
+from repro.jsonlib.tape import scan_file, scan_text
 
 SENSOR_FILE = """
 {
@@ -30,61 +29,61 @@ SENSOR_FILE = """
 
 class TestProjectText:
     def test_whole_value_with_empty_path(self):
-        items = list(project_text("[1, 2]", Path()))
+        items = list(scan_text("[1, 2]", Path()))
         assert items == [[1, 2]]
 
     def test_value_by_key(self):
-        items = list(project_text('{"a": 1, "b": 2}', parse_path('("b")')))
+        items = list(scan_text('{"a": 1, "b": 2}', parse_path('("b")')))
         assert items == [2]
 
     def test_missing_key(self):
-        assert list(project_text('{"a": 1}', parse_path('("z")'))) == []
+        assert list(scan_text('{"a": 1}', parse_path('("z")'))) == []
 
     def test_members_of_array(self):
-        assert list(project_text("[1, 2, 3]", parse_path("()"))) == [1, 2, 3]
+        assert list(scan_text("[1, 2, 3]", parse_path("()"))) == [1, 2, 3]
 
     def test_keys_of_object(self):
-        assert list(project_text('{"a": 1, "b": 2}', parse_path("()"))) == ["a", "b"]
+        assert list(scan_text('{"a": 1, "b": 2}', parse_path("()"))) == ["a", "b"]
 
     def test_keys_then_step_yields_nothing(self):
         # Keys are strings; a further value step over them is empty.
-        assert list(project_text('{"a": {"b": 1}}', parse_path('()("b")'))) == []
+        assert list(scan_text('{"a": {"b": 1}}', parse_path('()("b")'))) == []
 
     def test_index_step(self):
-        assert list(project_text("[10, 20, 30]", parse_path("(2)"))) == [20]
+        assert list(scan_text("[10, 20, 30]", parse_path("(2)"))) == [20]
 
     def test_index_out_of_range(self):
-        assert list(project_text("[10]", parse_path("(5)"))) == []
+        assert list(scan_text("[10]", parse_path("(5)"))) == []
 
     def test_nested_sensor_path(self):
         path = parse_path('("root")()("results")()')
-        results = list(project_text(SENSOR_FILE, path))
+        results = list(scan_text(SENSOR_FILE, path))
         assert len(results) == 3
         assert results[0]["dataType"] == "TMIN"
         assert results[2]["station"] == "S2"
 
     def test_projection_to_leaf_field(self):
         path = parse_path('("root")()("results")()("date")')
-        dates = list(project_text(SENSOR_FILE, path))
+        dates = list(scan_text(SENSOR_FILE, path))
         assert dates == ["20131225T00:00", "20131225T00:00", "20141225T00:00"]
 
     def test_wrong_type_on_path_is_skipped(self):
         text = '[{"a": 1}, 5, {"a": 2}, [7]]'
-        assert list(project_text(text, parse_path('()("a")'))) == [1, 2]
+        assert list(scan_text(text, parse_path('()("a")'))) == [1, 2]
 
     def test_multiple_top_level_values(self):
         text = '{"x": 1} {"x": 2} {"y": 3}'
-        assert list(project_text(text, parse_path('("x")'))) == [1, 2]
+        assert list(scan_text(text, parse_path('("x")'))) == [1, 2]
 
     def test_duplicate_keys_last_occurrence_wins(self):
-        # The event stream sees both pairs, but the parser's dict keeps
-        # only the last — projection must emit the same winner.
+        # The scanner sees both pairs, but the parser's dict keeps only
+        # the last — projection must emit the same winner.
         text = '{"a": 1, "a": 2}'
-        assert list(project_text(text, parse_path('("a")'))) == [2]
+        assert list(scan_text(text, parse_path('("a")'))) == [2]
 
 
 class TestEquivalenceWithNavigate:
-    """The projecting parser must agree with navigate() over parsed items."""
+    """The projecting scanner must agree with navigate() over parsed items."""
 
     CASES = [
         ('{"a": {"b": [1, 2]}}', '("a")("b")()'),
@@ -100,7 +99,7 @@ class TestEquivalenceWithNavigate:
     @pytest.mark.parametrize("text,path_text", CASES)
     def test_matches_navigate(self, text, path_text):
         path = parse_path(path_text)
-        assert list(project_text(text, path)) == navigate(parse(text), path)
+        assert list(scan_text(text, path)) == navigate(parse(text), path)
 
 
 class TestProjectFile:
@@ -108,23 +107,12 @@ class TestProjectFile:
         target = tmp_path / "sensor.json"
         target.write_text(SENSOR_FILE, encoding="utf-8")
         path = parse_path('("root")()("results")()("station")')
-        stations = list(project_file(str(target), path, chunk_size=7))
+        stations = list(scan_file(str(target), path, chunk_size=7))
         assert stations == ["S1", "S1", "S2"]
 
     def test_multi_document_file(self, tmp_path):
         target = tmp_path / "docs.json"
         target.write_text('{"v": 1}\n{"v": 2}\n{"v": 3}\n', encoding="utf-8")
-        values = list(project_file(str(target), parse_path('("v")')))
+        values = list(scan_file(str(target), parse_path('("v")')))
         assert values == [1, 2, 3]
 
-
-class TestErrors:
-    def test_truncated_stream(self):
-        from repro.jsonlib.parser import iter_events
-
-        def broken_events():
-            events = list(iter_events('{"a": [1, 2]}'))
-            yield from events[:3]  # cut inside the array
-
-        with pytest.raises(JsonSyntaxError):
-            list(project_events(broken_events(), parse_path('("a")')))

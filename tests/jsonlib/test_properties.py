@@ -26,8 +26,8 @@ from repro.jsonlib.path import (
     ValueByKey,
     navigate,
 )
-from repro.jsonlib.projection import project_text
 from repro.jsonlib.serializer import dumps
+from repro.jsonlib.tape import scan_text
 
 # Finite floats only: JSON has no NaN/Infinity.
 json_atoms = st.one_of(
@@ -161,7 +161,7 @@ def test_roundtrip_surrogate_pair_corpus():
 @settings(max_examples=120)
 def test_projection_equals_navigate(value, path):
     text = json.dumps(value)
-    assert list(project_text(text, path)) == navigate(parse(text), path)
+    assert list(scan_text(text, path)) == navigate(parse(text), path)
 
 
 @given(json_values, st.text(max_size=6), json_values)

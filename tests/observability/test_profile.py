@@ -61,7 +61,6 @@ def _pinned_scan_env(monkeypatch):
     # runs the suite under REPRO_SEGMENT_CACHE would add cache_hits /
     # cache_misses fields to them.
     monkeypatch.delenv("REPRO_SEGMENT_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_SCAN_MODE", raising=False)
 
 
 def processor(**kwargs):

@@ -119,17 +119,6 @@ class TestCollectionCatalogPolicies:
         items = catalog.read_collection("/events")
         assert {"v": 2} in items and len(items) == 5
 
-    def test_stream_collection_truncates_broken_file(self, faulty_dir):
-        catalog = CollectionCatalog(str(faulty_dir), on_malformed="skip_record")
-        report = DegradationReport()
-        catalog.attach_degradation(report)
-        items = list(catalog.stream_collection("/events", parse_path('("v")')))
-        # The event projector cannot resync: bad.json is truncated from
-        # the chunk containing the error (here: the whole small file),
-        # and good.json is untouched.
-        assert items == [1, 2, 3]
-        assert len(report.skipped_files) == 1
-
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError):
             CollectionCatalog(on_malformed="explode")

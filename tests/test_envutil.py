@@ -4,7 +4,6 @@ import pytest
 
 from repro.cache.config import (
     resolve_fingerprint_mode,
-    resolve_scan_mode,
     resolve_segment_cache,
 )
 from repro.envutil import env_setting
@@ -72,15 +71,6 @@ class TestConsumersHonourTheRule:
         monkeypatch.setenv("REPRO_PROFILE", "counter")
         assert resolve_profile_config(None) is not None
         assert resolve_profile_config(False) is None
-
-    def test_scan_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCAN_MODE", "")
-        default = resolve_scan_mode(None)
-        monkeypatch.delenv("REPRO_SCAN_MODE")
-        assert resolve_scan_mode(None) == default
-        monkeypatch.setenv("REPRO_SCAN_MODE", "eager")
-        assert resolve_scan_mode(None) == "eager"
-        assert resolve_scan_mode("text") == "text"
 
     def test_segment_cache(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_SEGMENT_CACHE", "")

@@ -16,11 +16,13 @@ when only one usable core is available, ``speedup_vs_sequential`` is
 refused (``null`` + reason) — a pool of workers time-slicing one core
 cannot measure parallelism.
 
-``BENCH_scan.json`` (``--scan``) — benchmarks the DATASCAN projection
-itself on Q0/Q1/Q2's scan shape under every scan mode (``eager`` /
-``text`` / ``ondemand``), uncached plus segment-cache cold and warm
-passes, with items-per-second and the on-demand-vs-eager and
-warm-vs-cold speedups.
+``BENCH_scan.json`` (``--scan``) — benchmarks DATASCAN itself, once per
+distinct projection the paper queries' compiled plans carry: the
+product path through ``CollectionCatalog.scan_collection`` (the tape)
+uncached plus segment-cache cold and warm passes, with items-per-second
+and the warm-vs-cold speedup.  The raw-text skipper and the
+differential harness's eager parse-then-navigate reference are timed
+directly on the same files, only to give ``speedup_vs_eager``.
 
 Usage::
 
@@ -42,15 +44,14 @@ import tempfile
 import time
 
 from repro import JsonProcessor, SensorDataConfig, write_sensor_collection
-from repro.cache.config import SCAN_MODES
+from repro.algebra.operators import DataScan
+from repro.bench.queries import ALL_QUERIES, q0, q1, q2
+from repro.compiler.pipeline import compile_query
+from repro.correctness.harness import eager_scan_file
 from repro.data.catalog import CollectionCatalog
-from repro.jsonlib.path import parse_path
-from repro.bench.queries import q0, q1, q2
+from repro.jsonlib import textscan
 
 QUERIES = {"Q0": q0, "Q1": q1, "Q2": q2}
-
-#: The projection every bench query's DATASCAN carries (Listing 6 shape).
-SCAN_PROJECTION = '("root")()("results")()'
 
 
 def usable_cores() -> int:
@@ -184,49 +185,88 @@ def run(args: argparse.Namespace) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _timed_scan(catalog: CollectionCatalog, path) -> tuple[float, int]:
-    start = time.perf_counter()
-    count = sum(1 for _ in catalog.scan_collection("/sensors", path))
-    return time.perf_counter() - start, count
+def paper_projections() -> dict:
+    """Each distinct DATASCAN projection of the paper queries.
+
+    Maps the projection to ``(path, query names)``, compiled with the
+    default rewrite rules — exactly what the product scans.
+    """
+    shapes: dict = {}
+    for name, make_query in ALL_QUERIES.items():
+        plan = compile_query(make_query("/sensors")).plan
+        for scan in plan.operators_of(DataScan):
+            path, names = shapes.setdefault(
+                str(scan.project_path), (scan.project_path, [])
+            )
+            if name not in names:
+                names.append(name)
+    return shapes
 
 
-def bench_scan_mode(
-    base_dir: str, mode: str, path, repeat: int
-) -> dict:
-    """Uncached best-of-*repeat* plus cache cold/warm for one scan mode."""
-    catalog = CollectionCatalog(base_dir, scan_mode=mode)
-    _timed_scan(catalog, path)  # warm the OS page cache
-    uncached = None
+def _best_of(repeat: int, scan) -> tuple[float, int]:
+    """Best wall seconds of *repeat* calls of *scan* (returns an item
+    count; every call must agree)."""
+    best = None
     items = None
     for _ in range(repeat):
-        seconds, count = _timed_scan(catalog, path)
+        start = time.perf_counter()
+        count = scan()
+        seconds = time.perf_counter() - start
+        if items is not None and count != items:
+            raise SystemExit("scan item counts differ across repeats")
         items = count
-        uncached = seconds if uncached is None else min(uncached, seconds)
+        best = seconds if best is None else min(best, seconds)
+    return best, items
+
+
+def _catalog_scan(catalog: CollectionCatalog, path):
+    return lambda: sum(1 for _ in catalog.scan_collection("/sensors", path))
+
+
+def _direct_scan(scan, files: list[str], path):
+    return lambda: sum(len(list(scan(file_path, path))) for file_path in files)
+
+
+def bench_projection(base_dir: str, path, repeat: int) -> dict:
+    """Product scan (uncached, cache cold, cache warm) of one projection,
+    plus the skipper and eager reference for ``speedup_vs_eager``."""
+    catalog = CollectionCatalog(base_dir, segment_cache_dir="")
+    files = catalog.files("/sensors")
+    _catalog_scan(catalog, path)()  # warm the OS page cache
+    uncached, items = _best_of(repeat, _catalog_scan(catalog, path))
     cache_dir = tempfile.mkdtemp(prefix="repro-bench-cache-")
     try:
-        cached = CollectionCatalog(
-            base_dir, scan_mode=mode, segment_cache_dir=cache_dir
-        )
-        cold_seconds, cold_items = _timed_scan(cached, path)
-        warm_seconds = None
-        for _ in range(repeat):
-            seconds, warm_items = _timed_scan(cached, path)
-            if warm_items != items or cold_items != items:
-                raise SystemExit(f"{mode}: cached scan items differ")
-            warm_seconds = (
-                seconds if warm_seconds is None else min(warm_seconds, seconds)
-            )
+        cached = CollectionCatalog(base_dir, segment_cache_dir=cache_dir)
+        cold, cold_items = _best_of(1, _catalog_scan(cached, path))
+        warm, warm_items = _best_of(repeat, _catalog_scan(cached, path))
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
+    references = {
+        "text": _best_of(repeat, _direct_scan(textscan.scan_file, files, path)),
+        "eager": _best_of(repeat, _direct_scan(eager_scan_file, files, path)),
+    }
+    counts = {cold_items, warm_items, *(n for _, n in references.values())}
+    if counts != {items}:
+        raise SystemExit(f"{path}: scanners disagree on the item count")
+    eager_seconds = references["eager"][0]
     return {
         "items": items,
         "uncached_seconds": uncached,
         "items_per_second": items / uncached if uncached > 0 else None,
-        "cache_cold_seconds": cold_seconds,
-        "cache_warm_seconds": warm_seconds,
-        "warm_speedup_vs_cold": (
-            cold_seconds / warm_seconds if warm_seconds > 0 else None
-        ),
+        "speedup_vs_eager": eager_seconds / uncached if uncached > 0 else None,
+        "cache_cold_seconds": cold,
+        "cache_warm_seconds": warm,
+        "warm_speedup_vs_cold": cold / warm if warm > 0 else None,
+        "references": {
+            name: {
+                "uncached_seconds": seconds,
+                "items_per_second": items / seconds if seconds > 0 else None,
+                "speedup_vs_eager": (
+                    eager_seconds / seconds if seconds > 0 else None
+                ),
+            }
+            for name, (seconds, _) in references.items()
+        },
     }
 
 
@@ -237,11 +277,9 @@ def run_scan(args: argparse.Namespace) -> dict:
             "partitions": args.partitions,
             "bytes_per_partition": args.mib_per_partition << 20,
             "repeat": args.repeat,
-            "projection": SCAN_PROJECTION,
         },
-        "queries": {},
+        "projections": {},
     }
-    path = parse_path(SCAN_PROJECTION)
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as base_dir:
         write_sensor_collection(
             base_dir,
@@ -250,30 +288,19 @@ def run_scan(args: argparse.Namespace) -> dict:
             bytes_per_partition=args.mib_per_partition << 20,
             config=SensorDataConfig(seed=args.seed),
         )
-        # Q0/Q1/Q2 all scan the same Listing-6 projection; benchmark it
-        # once and record it under each query name for the figure
-        # generators.
-        modes: dict = {}
-        for mode in SCAN_MODES:
-            modes[mode] = bench_scan_mode(base_dir, mode, path, args.repeat)
-            entry = modes[mode]
+        for projection, (path, names) in paper_projections().items():
+            entry = bench_projection(base_dir, path, args.repeat)
+            entry["queries"] = names
+            report["projections"][projection] = entry
             print(
-                f"scan/{mode}: uncached {entry['uncached_seconds']:.3f}s "
-                f"({entry['items_per_second']:.0f} items/s), "
+                f"scan {projection} ({'/'.join(names)}): "
+                f"uncached {entry['uncached_seconds']:.3f}s "
+                f"({entry['items_per_second']:.0f} items/s, "
+                f"{entry['speedup_vs_eager']:.1f}x eager), "
                 f"cold {entry['cache_cold_seconds']:.3f}s, "
                 f"warm {entry['cache_warm_seconds']:.3f}s "
                 f"({entry['warm_speedup_vs_cold']:.1f}x)"
             )
-        eager = modes["eager"]["items_per_second"]
-        for mode, entry in modes.items():
-            entry["speedup_vs_eager"] = (
-                entry["items_per_second"] / eager if eager else None
-            )
-        for name in QUERIES:
-            report["queries"][name] = {
-                "projection": SCAN_PROJECTION,
-                "modes": modes,
-            }
     return report
 
 
@@ -284,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--scan",
         action="store_true",
-        help="benchmark scan modes / segment cache instead of backends",
+        help="benchmark DATASCAN / segment cache instead of backends",
     )
     parser.add_argument("--partitions", type=int, default=4)
     parser.add_argument("--mib-per-partition", type=int, default=4)
