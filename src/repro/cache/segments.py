@@ -46,6 +46,13 @@ from repro.jsonlib.path import KeysOrMembers, Path, ValueByIndex, ValueByKey
 
 _MAGIC = b"RSEG1\n"
 
+#: Version of what a segment header carries, hashed into every segment
+#: file name.  A segment written under an older version (before the
+#: ``scanned_bytes`` counter existed, say) is never opened again: its
+#: lookup is a plain miss, not a corrupt file and not a hit replaying a
+#: counter it lacks.  Bump it whenever the replayed header changes.
+_FORMAT = 2
+
 # Exceptions that prove the segment file itself is defective (torn,
 # bit-flipped, or structurally malformed) and therefore safe to delete:
 # the magic/key/CRC ValueErrors raised below, pickle's own failure modes
@@ -139,8 +146,9 @@ class CachedSegment:
 
     items: list
     #: ``ScanCounters.as_dict()`` of the producing scan; a hit replays
-    #: only the ``matched``/``skipped`` fields (see ``ScanCounters.absorb``)
-    #: so projection accounting is byte-identical with a cold scan.
+    #: only the ``matched``/``skipped``/``scanned_bytes`` fields (see
+    #: ``ScanCounters.absorb``) so projection accounting is
+    #: byte-identical with a cold scan.
     counters: dict
     #: ``(offset, message)`` pairs for records the producing scan
     #: skipped under ``on_malformed="skip_record"``.
@@ -269,7 +277,7 @@ class SegmentCache:
     # -- keys ------------------------------------------------------------------
 
     def _segment_path(self, source_id, fingerprint, projection, policy) -> str:
-        key = repr((source_id, fingerprint, projection, policy))
+        key = repr((_FORMAT, source_id, fingerprint, projection, policy))
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
         return os.path.join(self.cache_dir, digest + ".seg")
 

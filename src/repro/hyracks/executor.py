@@ -97,6 +97,10 @@ class ExecutionStats:
     """Counters accumulated while a query runs."""
 
     items_scanned: int = 0
+    #: source characters the DATASCANs materialized, from the scanner's
+    #: own spans (``ScanCounters.scanned_bytes``): each projected leaf's
+    #: span, or under a trailing ``()`` the emitting container's span.
+    #: Identical across backends and segment-cache states.
     scanned_item_bytes: int = 0
     exchange_tuples: int = 0
     exchange_bytes: int = 0

@@ -52,12 +52,8 @@ from repro.hyracks.spill import (
     fold_group_table,
 )
 from repro.hyracks.tuples import Tuple, extend_tuple, merge_tuples, sizeof_tuple
-from repro.jsonlib.items import (
-    Item,
-    canonical_item,
-    canonical_key,
-    sizeof_item,
-)
+from repro.jsonlib.items import Item, canonical_item, canonical_key
+from repro.jsonlib.textscan import ScanCounters
 
 # Re-exported here for backwards compatibility: the canonical grouping /
 # join / distinct-values key lives in repro.jsonlib.items so the JSONiq
@@ -174,21 +170,20 @@ def run_plan(plan: LogicalPlan, ctx: EvaluationContext) -> list[Item]:
 
 
 def _execute_datascan(op: DataScan, ctx: EvaluationContext) -> Iterator[Tuple]:
+    """Stream the projected items of one collection scan.
+
+    Scanned bytes come from the scanner's own spans
+    (``ScanCounters.scanned_bytes``), never from walking the items; a
+    source without an ``attach_scan_counters`` hook reports none.
+    """
     if ctx.source is None:
         raise RuntimeExecutionError("no data source configured for DATASCAN")
     scanned = 0
-    scanned_bytes = 0
     profile = ctx.profile
-    track = ctx.stats is not None or profile is not None
-    attach_counters = None
-    counters = None
-    if profile is not None:
-        attach_counters = getattr(ctx.source, "attach_scan_counters", None)
-        if attach_counters is not None:
-            from repro.jsonlib.textscan import ScanCounters
-
-            counters = ScanCounters()
-            attach_counters(counters)
+    counters = ScanCounters()
+    attach_counters = getattr(ctx.source, "attach_scan_counters", None)
+    if attach_counters is not None:
+        attach_counters(counters)
     limits = ctx.limits
     try:
         for item in ctx.source.scan_collection(
@@ -197,23 +192,22 @@ def _execute_datascan(op: DataScan, ctx: EvaluationContext) -> Iterator[Tuple]:
             if limits is not None:
                 limits.checkpoint()
             scanned += 1
-            if track:
-                scanned_bytes += sizeof_item(item)
             yield {op.variable: [item]}
     finally:
         if attach_counters is not None:
             attach_counters(None)
         if ctx.stats is not None:
             ctx.stats.items_scanned += scanned
-            ctx.stats.scanned_item_bytes += scanned_bytes
+            ctx.stats.scanned_item_bytes += counters.scanned_bytes
         if profile is not None:
             profile.add(op, "items_scanned", scanned)
-            profile.add(op, "bytes_scanned", scanned_bytes)
-            if counters is not None:
+            profile.add(op, "bytes_scanned", counters.scanned_bytes)
+            if attach_counters is not None:
                 profile.add(op, "projection_hits", counters.matched)
                 profile.add(op, "projection_skips", counters.skipped)
-                # Scan fast-path diagnostics (zero when the mode/cache
-                # that produces them is off, keeping profiles stable).
+                # Scan fast-path diagnostics (zero when the tape or the
+                # cache that produces them did not run, keeping
+                # profiles stable).
                 if counters.tape_records:
                     profile.add(op, "tape_records", counters.tape_records)
                     profile.add(op, "tape_tokens", counters.tape_tokens)

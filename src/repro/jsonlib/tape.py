@@ -5,18 +5,30 @@ navigation and tokenization: every walk decision re-scans text with
 regexes.  This module follows the two-phase design of "On-Demand JSON:
 A Better Way to Parse Documents?" (PAPERS.md) instead:
 
-**Phase 1 — index.**  One ``finditer`` pass per top-level record builds
-a compact structural index: flat arrays of token kinds, start offsets
+**Phase 1 — index.**  One regex pass per top-level record builds a
+compact structural index: flat arrays of token kinds, start offsets
 and end offsets (string literals and atoms are single tokens), plus a
 matching-close table filled by a bracket stack during the same pass.
 No per-token objects are allocated — the tape is four parallel lists of
-ints.
+ints.  The index stops one container level above the path's last step
+when that step is ``()`` or ``("key")`` (one level higher still for a
+trailing ``()("key")`` pair, see :func:`index_plan`): each container
+at that depth is one span token whose end the stdlib C decoder finds
+in the same pass that decodes it, and the decoded value stays on the
+tape.
 
 **Phase 2 — navigate.**  The projection path (:mod:`repro.jsonlib.path`
 steps) resolves directly against the tape.  Only projected leaves are
 materialized (string decode / number convert straight from the recorded
 spans); a non-projected subtree is skipped by offset arithmetic — one
-jump to its recorded closing token, never parsed.
+jump to its recorded closing token, never parsed.  The last steps
+resolve on the decoded span values: a trailing ``()`` emits a decoded
+list's members, a trailing ``("key")`` looks the key up in a decoded
+dict (or in each object of a decoded list under ``()``).  Every other
+case re-indexes just that span one level deeper and walks it token by
+token.  Scanned bytes (``ScanCounters.scanned_bytes``) come from the
+recorded spans, or from a decoded leaf's value when that alone fixes
+its source width.
 
 Equivalence contract, shared with the raw skipper and checked
 property-based in the test suite::
@@ -79,11 +91,10 @@ _COLON = 4
 _COMMA = 5
 _STRING = 6
 _ATOM = 7
-#: A whole container deeper than the projection path ever walks,
-#: recorded as one span token: its interior is never tokenized — the
-#: index pass jumps it with the skipper's own quote-aware bracket hop,
-#: and the navigator either skips it (one token) or bulk-decodes the
-#: recorded span.
+#: A whole container at the index's depth limit, recorded as one span
+#: token: its interior is never tokenized.  The navigator either skips
+#: it (one token) or resolves the path's remaining step on the value
+#: the index pass decoded.
 _SUBTREE = 8
 
 _PUNCT_KINDS = {
@@ -102,29 +113,74 @@ class RecordTape:
     ``kinds[i]``/``starts[i]``/``ends[i]`` describe token *i*;
     ``close[i]`` holds the index of the matching closer for opener
     tokens (-1 elsewhere), so skipping a container is one array jump.
+    ``values`` maps a :data:`_SUBTREE` token's index to its decoded
+    value; a span the decoder refused has no entry.
     """
 
-    __slots__ = ("kinds", "starts", "ends", "close")
+    __slots__ = ("kinds", "starts", "ends", "close", "values")
 
-    def __init__(self, kinds, starts, ends, close):
+    def __init__(self, kinds, starts, ends, close, values):
         self.kinds = kinds
         self.starts = starts
         self.ends = ends
         self.close = close
+        self.values = values
 
     def __len__(self) -> int:
         return len(self.kinds)
 
 
-def build_tape(text: str, pos: int, depth_limit: int) -> tuple[RecordTape, int]:
+def _reject_constant(token: str):
+    """Refuse ``NaN``/``Infinity``/``-Infinity`` inside span decodes.
+
+    The stdlib decoder accepts these extensions by default, but the
+    canonical skipper's ``_build_value`` raises — and Python's own
+    ``json.dumps`` emits ``NaN`` for ``float('nan')``, so such inputs
+    occur in practice.  A refused span is hopped like the skipper hops
+    it; materializing it hands the record to the skipper, keeping
+    items, errors, and degradation reports byte-identical.
+    """
+    raise ValueError(f"invalid literal {token}")
+
+
+def _unique_pairs(pairs: list) -> dict:
+    """Object hook refusing duplicate keys.
+
+    A key step's count of skipped values is ``len(obj) - matched`` only
+    when no key repeats; a span with a repeated key is refused and
+    walked token by token instead, which applies the skipper's
+    last-occurrence-wins recounting.
+    """
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ValueError("duplicate object key")
+    return obj
+
+
+#: Span decoders (value semantics identical to ``_build_value``: int
+#: unless ``./e/E``, last duplicate key wins, surrogate pairs combined
+#: with lone surrogates kept, non-standard constants refused).
+_decode_span = _json.JSONDecoder(parse_constant=_reject_constant).raw_decode
+_decode_unique_span = _json.JSONDecoder(
+    parse_constant=_reject_constant, object_pairs_hook=_unique_pairs
+).raw_decode
+
+
+def build_tape(
+    text: str, pos: int, depth_limit: int, decode=_decode_span
+) -> tuple[RecordTape, int]:
     """Index the container record at *pos*; returns (tape, end offset).
 
-    *depth_limit* is the number of container levels the navigator will
-    walk (the projection path's step count): a container opening at
-    that depth can only ever be skipped whole or materialized whole, so
-    its interior is not tokenized — it is jumped with the skipper's
-    quote-aware ``_skip_value`` and recorded as one :data:`_SUBTREE`
-    span.  The index therefore costs one token per *walked* structural
+    *depth_limit* is the number of container levels the navigator walks
+    token by token: a container opening at that depth is not tokenized
+    but recorded as one :data:`_SUBTREE` span.  *decode* (a
+    ``raw_decode``) finds the span's end and decodes it in one C-speed
+    pass, and the value is kept in ``tape.values``.  When it refuses
+    the span (invalid JSON, a refused constant, a duplicate key for the
+    key-step decoder, or nesting too deep for it) the span is hopped
+    with the skipper's own quote-aware ``_skip_value`` instead, so
+    leniency inside skipped subtrees is byte-identical with textscan.
+    The index therefore costs one token per *walked* structural
     character, not per byte of the record.
 
     Raises :class:`~repro.errors.JsonSyntaxError` at the record start
@@ -136,6 +192,7 @@ def build_tape(text: str, pos: int, depth_limit: int) -> tuple[RecordTape, int]:
     starts: list = []
     ends: list = []
     close: list = []
+    values: dict = {}
     stack: list = []
     prev_end = pos
     record_start = pos
@@ -162,12 +219,10 @@ def build_tape(text: str, pos: int, depth_limit: int) -> tuple[RecordTape, int]:
         index = len(kinds)
         if ch == "{" or ch == "[":
             if len(stack) >= depth_limit:
-                # Deeper than any walk: record the whole container as a
-                # single span, interior untokenized.  _skip_value is the
-                # skipper's own bracket hop, so leniency (and behaviour
-                # on hostile quoting) inside skipped subtrees is
-                # byte-identical with textscan.
-                end = _skip_value(text, start)
+                try:
+                    values[index], end = decode(text, start)
+                except (ValueError, RecursionError):
+                    end = _skip_value(text, start)
                 kinds.append(_SUBTREE)
                 starts.append(start)
                 ends.append(end)
@@ -175,7 +230,7 @@ def build_tape(text: str, pos: int, depth_limit: int) -> tuple[RecordTape, int]:
                 prev_end = end
                 pos = end
                 if not stack:
-                    return RecordTape(kinds, starts, ends, close), end
+                    return RecordTape(kinds, starts, ends, close, values), end
                 continue
             kinds.append(_PUNCT_KINDS[ch])
             stack.append(index)
@@ -197,7 +252,7 @@ def build_tape(text: str, pos: int, depth_limit: int) -> tuple[RecordTape, int]:
         prev_end = match.end()
         pos = match.end()
         if not stack:
-            return RecordTape(kinds, starts, ends, close), pos
+            return RecordTape(kinds, starts, ends, close, values), pos
 
 
 def _skip_token(text: str, tape: RecordTape, i: int, counters) -> int:
@@ -224,113 +279,192 @@ def _token_string(text: str, tape: RecordTape, i: int) -> str:
     return raw
 
 
-def _reject_constant(token: str):
-    """Refuse ``NaN``/``Infinity``/``-Infinity`` inside bulk decodes.
-
-    The stdlib decoder accepts these extensions by default, but the
-    canonical skipper's ``_build_value`` raises — and Python's own
-    ``json.dumps`` emits ``NaN`` for ``float('nan')``, so such inputs
-    occur in practice.  Raising here fails the tape path and hands the
-    record to the skipper, keeping items, errors, and degradation
-    reports byte-identical across scan modes.
-    """
-    raise ValueError(f"invalid literal {token}")
+def _span_end(tape: RecordTape, i: int) -> int:
+    """Source offset just past the value at token *i*."""
+    kind = tape.kinds[i]
+    if kind == _OPEN_OBJECT or kind == _OPEN_ARRAY:
+        return tape.ends[tape.close[i]]
+    return tape.ends[i]
 
 
 def _materialize_container(text: str, tape: RecordTape, i: int):
-    """Decode the whole container at token *i* in one C-speed pass.
+    """Materialize the whole container at token *i* at C speed.
 
+    A :data:`_SUBTREE` returns the value the index pass decoded; a
+    walked container decodes its recorded span in one ``json.loads``.
     The tape already proved the slice token-clean and bracket-balanced,
     and the stdlib decoder's value semantics are identical to
-    ``_build_value``'s (int unless ``./e/E``, last duplicate key wins,
-    surrogate-pair combining with lone surrogates kept, non-standard
-    constants rejected via :func:`_reject_constant`) — so for a fully
-    projected subtree one ``json.loads`` over the recorded span
-    replaces thousands of per-token Python steps.  Structural errors
-    the tokenizer can't see (a missing colon, say) surface as
-    :class:`~repro.errors.JsonSyntaxError` so the record falls back to
-    the canonical raw skipper.
+    ``_build_value``'s — so one C-speed decode replaces thousands of
+    per-token Python steps.  A span the decoder refuses (including
+    structural errors the tokenizer can't see, a missing colon say)
+    raises :class:`~repro.errors.JsonSyntaxError` so the record falls
+    back to the canonical raw skipper.
 
     Returns (value, next token index).
     """
+    start = tape.starts[i]
     if tape.kinds[i] == _SUBTREE:
-        end_offset = tape.ends[i]
-        next_token = i + 1
-    else:
-        closer = tape.close[i]
-        end_offset = tape.ends[closer]
-        next_token = closer + 1
+        if i not in tape.values:
+            raise JsonSyntaxError("span refused by the decoder", start)
+        return tape.values[i], i + 1
+    closer = tape.close[i]
     try:
         value = _json.loads(
-            text[tape.starts[i] : end_offset],
-            parse_constant=_reject_constant,
+            text[start : tape.ends[closer]], parse_constant=_reject_constant
         )
     except ValueError as error:
-        raise JsonSyntaxError(str(error), tape.starts[i]) from None
-    return value, next_token
+        raise JsonSyntaxError(str(error), start) from None
+    return value, closer + 1
 
 
 def build_value(text: str, tape: RecordTape, i: int) -> tuple[Item, int]:
     """Materialize the value at token *i*; returns (item, next token).
 
     Strings and atoms convert straight from their recorded spans — no
-    re-tokenization; containers recurse over the tape, validating the
-    separators (and the gaps between walked tokens) exactly like the
-    skipper's ``_build_value`` validates its text.
+    re-tokenization; containers go through
+    :func:`_materialize_container`.
     """
-    kinds = tape.kinds
-    starts = tape.starts
-    kind = kinds[i]
+    kind = tape.kinds[i]
     if kind == _STRING:
         return _token_string(text, tape, i), i + 1
-    if kind == _SUBTREE:
-        return _materialize_container(text, tape, i)
     if kind == _ATOM:
-        raw = text[starts[i] : tape.ends[i]]
+        raw = text[tape.starts[i] : tape.ends[i]]
         if raw in _LITERAL_VALUES:
             return _LITERAL_VALUES[raw], i + 1
         return _convert_number(raw), i + 1
-    if kind == _OPEN_OBJECT:
-        obj: dict = {}
-        j = i + 1
-        if kinds[j] == _CLOSE_OBJECT:
-            return obj, j + 1
-        while True:
-            if kinds[j] != _STRING:
-                raise JsonSyntaxError("expected object key", starts[j])
-            key = _token_string(text, tape, j)
-            if kinds[j + 1] != _COLON:
-                raise JsonSyntaxError("expected ':'", starts[j + 1])
-            obj[key], j = build_value(text, tape, j + 2)
-            kind = kinds[j]
-            if kind == _COMMA:
-                j += 1
-                continue
-            if kind == _CLOSE_OBJECT:
-                return obj, j + 1
-            raise JsonSyntaxError(
-                f"expected ',' or '}}', found {text[starts[j]]!r}", starts[j]
-            )
-    if kind == _OPEN_ARRAY:
-        array: list = []
-        j = i + 1
-        if kinds[j] == _CLOSE_ARRAY:
-            return array, j + 1
-        while True:
-            member, j = build_value(text, tape, j)
-            array.append(member)
-            kind = kinds[j]
-            if kind == _COMMA:
-                j += 1
-                continue
-            if kind == _CLOSE_ARRAY:
-                return array, j + 1
-            raise JsonSyntaxError(
-                f"expected ',' or ']', found {text[starts[j]]!r}", starts[j]
-            )
+    if kind == _OPEN_OBJECT or kind == _OPEN_ARRAY or kind == _SUBTREE:
+        return _materialize_container(text, tape, i)
     raise JsonSyntaxError(
-        f"unexpected character {text[starts[i]]!r}", starts[i]
+        f"unexpected character {text[tape.starts[i]]!r}", tape.starts[i]
     )
+
+
+def _leaf_width(item: Item, escaped: bool) -> int | None:
+    """Source width of a decoded leaf, when the value alone determines
+    it; None when only its span can tell.
+
+    A string's source is its content plus two quotes unless the span it
+    was decoded from holds an escape (*escaped*); a nonzero int and the
+    three literals have exactly one JSON spelling.  Floats and zero
+    (``-0``) do not.
+    """
+    kind = type(item)
+    if kind is str:
+        return None if escaped else len(item) + 2
+    if kind is int:
+        return len(str(item)) if item else None
+    if item is None or item is True:
+        return 4
+    if item is False:
+        return 5
+    return None
+
+
+def _lookup(obj: dict, key: str, escaped: bool, out: list, counters) -> bool:
+    """A trailing ``("key")`` over a decoded duplicate-free object.
+
+    Counts like the skipper's object walk: every other value skipped.
+    Returns False, having changed nothing, when the leaf's width needs
+    its span.
+    """
+    if key not in obj:
+        if counters is not None:
+            counters.skipped += len(obj)
+        return True
+    item = obj[key]
+    width = _leaf_width(item, escaped)
+    if width is None:
+        return False
+    out.append(item)
+    if counters is not None:
+        counters.matched += 1
+        counters.skipped += len(obj) - 1
+        counters.scanned_bytes += width
+    return True
+
+
+def _lookup_each(
+    members: list, key: str, escaped: bool, out: list, counters
+) -> bool:
+    """``()`` then a trailing ``("key")`` over a decoded list: a key
+    lookup per object member, one skip per other member.  Returns
+    False, having changed nothing, when some leaf's width needs its
+    span."""
+    staged: list = []
+    tally = ScanCounters()
+    for member in members:
+        if type(member) is dict:
+            if not _lookup(member, key, escaped, staged, tally):
+                return False
+        else:
+            tally.skipped += 1
+    out.extend(staged)
+    if counters is not None:
+        counters.merge(tally)
+    return True
+
+
+def _resolve_subtree(
+    text: str,
+    tape: RecordTape,
+    i: int,
+    path: Path,
+    step_index: int,
+    out: list,
+    counters: ScanCounters | None,
+) -> int:
+    """Resolve steps from *step_index* over the :data:`_SUBTREE` at *i*.
+
+    The remaining steps resolve on the value the index pass decoded
+    (see :func:`index_plan`): a trailing ``()`` over a list emits its
+    members; a trailing ``("key")`` looks the key up in a dict, or in
+    each object member of a list under ``()``.  Such spans were decoded
+    duplicate-free, so counts follow from ``len``.  A key step over an
+    array skips it.  Every other case — a trailing
+    ``()`` over an object, a refused span, a leaf whose width only its
+    span can tell — re-indexes just this span one level deeper and
+    walks it like any indexed container, so counting and fallback stay
+    the skipper's.
+    """
+    start = tape.starts[i]
+    end = tape.ends[i]
+    step = path[step_index]
+    opener = text[start]
+    value = tape.values.get(i)
+    remaining = len(path) - step_index
+    if isinstance(step, ValueByKey):
+        if opener != "{":
+            return _skip_token(text, tape, i, counters)
+        if remaining == 1 and value is not None:
+            escaped = text.find("\\", start, end) >= 0
+            if _lookup(value, step.key, escaped, out, counters):
+                return i + 1
+    elif isinstance(step, KeysOrMembers) and value is not None:
+        if remaining == 1 and opener == "[":
+            out.extend(value)
+            if counters is not None:
+                counters.matched += len(value)
+                counters.scanned_bytes += end - start
+            return i + 1
+        if remaining == 2 and isinstance(path[-1], ValueByKey):
+            if opener == "{":
+                # Keys-or-members short of the end emits nothing from
+                # an object and skips each of its values.
+                if counters is not None:
+                    counters.skipped += len(value)
+                return i + 1
+            escaped = text.find("\\", start, end) >= 0
+            if _lookup_each(value, path[-1].key, escaped, out, counters):
+                return i + 1
+    span, span_end = build_tape(
+        text, start, 1, _span_decoder(path, step_index + 1)
+    )
+    if span_end != end:
+        raise JsonSyntaxError("span re-index disagrees with the skipper", start)
+    if counters is not None:
+        counters.tape_tokens += len(span)
+    _navigate(text, span, 0, path, step_index, out, counters)
+    return i + 1
 
 
 def _navigate(
@@ -348,17 +482,16 @@ def _navigate(
     the value.  Counting mirrors ``textscan._project`` exactly.
     """
     if step_index == len(path):
-        kind = tape.kinds[i]
-        if kind == _OPEN_OBJECT or kind == _OPEN_ARRAY or kind == _SUBTREE:
-            item, j = _materialize_container(text, tape, i)
-        else:
-            item, j = build_value(text, tape, i)
+        item, j = build_value(text, tape, i)
         out.append(item)
         if counters is not None:
             counters.matched += 1
+            counters.scanned_bytes += _span_end(tape, i) - tape.starts[i]
         return j
 
     kind = tape.kinds[i]
+    if kind == _SUBTREE:
+        return _resolve_subtree(text, tape, i, path, step_index, out, counters)
     step = path[step_index]
     if isinstance(step, ValueByKey):
         if kind != _OPEN_OBJECT:
@@ -370,10 +503,16 @@ def _navigate(
         return _walk_array(text, tape, i, path, step_index, out, step.index, counters)
     # KeysOrMembers
     if kind == _OPEN_ARRAY:
-        return _walk_array(text, tape, i, path, step_index, out, None, counters)
-    if kind == _OPEN_OBJECT:
-        return _walk_object(text, tape, i, path, step_index, out, None, counters)
-    return _skip_token(text, tape, i, counters)
+        j = _walk_array(text, tape, i, path, step_index, out, None, counters)
+    elif kind == _OPEN_OBJECT:
+        j = _walk_object(text, tape, i, path, step_index, out, None, counters)
+    else:
+        return _skip_token(text, tape, i, counters)
+    if counters is not None and step_index + 1 == len(path):
+        # Like the skipper: a trailing keys-or-members step counts the
+        # span of the container it enumerates, once.
+        counters.scanned_bytes += _span_end(tape, i) - tape.starts[i]
+    return j
 
 
 def _walk_object(
@@ -453,10 +592,9 @@ def _walk_array(
 ) -> int:
     """Walk an array's tokens; ``target_index`` None means keys-or-members."""
     if target_index is None and step_index + 1 == len(path):
-        # A trailing keys-or-members step materializes every member:
-        # the paper queries' `("results")()` shape.  One bulk decode of
-        # the recorded array span beats walking member tokens one by
-        # one; each member still counts as one match, like the skipper.
+        # A trailing keys-or-members step materializes every member in
+        # one bulk decode of the recorded span; each member still
+        # counts as one match, like the skipper.
         members, j = _materialize_container(text, tape, i)
         out.extend(members)
         if counters is not None:
@@ -491,6 +629,48 @@ def _walk_array(
         )
 
 
+def _span_decoder(path: Path, step_index: int):
+    """Decoder for spans that resolve the steps from *step_index* on:
+    the duplicate-refusing one when those steps end in a key lookup
+    (see :func:`_unique_pairs`), the plain one otherwise (leaves
+    included)."""
+    if step_index < len(path) and isinstance(path[-1], ValueByKey):
+        return _decode_unique_span
+    return _decode_span
+
+
+def index_plan(path: Path) -> tuple:
+    """(depth limit, span decoder) for indexing records under *path*.
+
+    A trailing ``()`` or ``("key")`` resolves on decoded spans, so the
+    index stops one level above it — and a trailing ``("key")`` under
+    a ``()`` one more level up, so a list of records is one span whose
+    members are looked up, not one token each.  Paths ending in an
+    index step are walked to their leaves.
+    """
+    depth = len(path)
+    if path and isinstance(path[-1], (ValueByKey, KeysOrMembers)):
+        depth -= 1
+        if (
+            isinstance(path[-1], ValueByKey)
+            and depth
+            and isinstance(path[depth - 1], KeysOrMembers)
+        ):
+            depth -= 1
+    return depth, _span_decoder(path, depth)
+
+
+def navigate_tape(
+    text: str,
+    record: RecordTape,
+    path: Path,
+    out: list,
+    counters: ScanCounters | None,
+) -> None:
+    """Phase 2: project *path* over an indexed record into *out*."""
+    _navigate(text, record, 0, path, 0, out, counters)
+
+
 def project_record(
     text: str,
     pos: int,
@@ -517,11 +697,11 @@ def project_record(
     staged: list = []
     attempt = None if counters is None else ScanCounters()
     try:
-        tape, end = build_tape(text, pos, len(path))
+        tape, end = build_tape(text, pos, *index_plan(path))
         if attempt is not None:
             attempt.tape_records += 1
             attempt.tape_tokens += len(tape)
-        _navigate(text, tape, 0, path, 0, staged, attempt)
+        navigate_tape(text, tape, path, staged, attempt)
     except JsonSyntaxError:
         # Tape-side failure: discard the staged partial projection and
         # hand the record to the skipper with the caller's own

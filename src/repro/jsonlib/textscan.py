@@ -54,6 +54,7 @@ _LITERAL_VALUES = {"true": True, "false": False, "null": None}
 _COUNTER_FIELDS = (
     "matched",
     "skipped",
+    "scanned_bytes",
     "tape_records",
     "tape_tokens",
     "cache_hits",
@@ -65,34 +66,53 @@ _COUNTER_FIELDS = (
 class ScanCounters:
     """Scan-effectiveness counters for one projected scan.
 
-    Navigation accounting (every scan mode): ``matched`` counts items
-    the projection materialized; ``skipped`` counts the values it
-    jumped over (a bulk container skip counts once).  Tape-build
-    accounting (on-demand mode, :mod:`repro.jsonlib.tape`):
+    Navigation accounting (every scanner): ``matched`` counts items the
+    projection materialized; ``skipped`` counts the values it jumped
+    over (a bulk container skip counts once).  ``scanned_bytes`` counts
+    the source characters of what the projection materialized, taken
+    from the scanner's own spans and never from the built items: a
+    projected leaf adds its span; a trailing keys-or-members step adds
+    the span of the container whose members or keys it emits (once,
+    not per member).  The tape and the skipper compute all three
+    identically.  Tape-build accounting (:mod:`repro.jsonlib.tape`):
     ``tape_records`` / ``tape_tokens`` count structural indexes built
     and their token totals.  Segment-cache accounting
     (:mod:`repro.cache`): ``cache_hits`` / ``cache_misses`` count
-    per-file cache probes; a hit replays the stored scan's
-    matched/skipped so projection accounting stays byte-identical with
-    the cache off.  ``cache_corrupt`` counts probes that found a
-    segment file but rejected it (bad magic, truncation, checksum
-    mismatch) — each such probe also counts as a miss, because the
-    scan fell back to a cold read.  Attached to a scan through the data source's
+    per-file cache probes; a hit replays the stored scan's navigation
+    accounting so it stays byte-identical with the cache off.
+    ``cache_corrupt`` counts probes that found a segment file but
+    rejected it (bad magic, truncation, checksum mismatch) — each such
+    probe also counts as a miss, because the scan fell back to a cold
+    read.  Attached to a scan through the data source's
     ``attach_scan_counters`` hook and surfaced in query profiles as
-    ``projection_hits`` / ``projection_skips`` (plus the tape/cache
-    counters when nonzero).
+    ``projection_hits`` / ``projection_skips`` / ``bytes_scanned``
+    (plus the tape/cache counters when nonzero).
     """
 
     __slots__ = _COUNTER_FIELDS
 
     def __init__(self):
-        for field in _COUNTER_FIELDS:
-            setattr(self, field, 0)
+        # Spelled out (as is merge) rather than looped over the field
+        # names: scanners build and merge one of these per record.
+        self.matched = 0
+        self.skipped = 0
+        self.scanned_bytes = 0
+        self.tape_records = 0
+        self.tape_tokens = 0
+        self.cache_hits = 0
+        self.cache_misses = 0
+        self.cache_corrupt = 0
 
     def merge(self, other: "ScanCounters") -> None:
         """Accumulate every counter of *other* into this one."""
-        for field in _COUNTER_FIELDS:
-            setattr(self, field, getattr(self, field) + getattr(other, field))
+        self.matched += other.matched
+        self.skipped += other.skipped
+        self.scanned_bytes += other.scanned_bytes
+        self.tape_records += other.tape_records
+        self.tape_tokens += other.tape_tokens
+        self.cache_hits += other.cache_hits
+        self.cache_misses += other.cache_misses
+        self.cache_corrupt += other.cache_corrupt
 
     def as_dict(self) -> dict:
         """Plain-dict snapshot (stored inside cache segments)."""
@@ -101,14 +121,16 @@ class ScanCounters:
     def absorb(self, data: dict) -> None:
         """Replay a stored scan's projection accounting (cache hits).
 
-        Only ``matched``/``skipped`` are replayed: a warm partition did
-        that navigation work once, at store time, and replaying it
-        keeps ``projection_hits``/``projection_skips`` byte-identical
-        across cache on/off.  Tape counters are *not* replayed — no
-        structural index was built on the warm path.
+        Only ``matched``/``skipped``/``scanned_bytes`` are replayed: a
+        warm partition did that navigation work once, at store time,
+        and replaying it keeps ``projection_hits``/``projection_skips``
+        and ``bytes_scanned`` byte-identical across cache on/off.  Tape
+        counters are *not* replayed — no structural index was built on
+        the warm path.
         """
-        self.matched += data.get("matched", 0)
-        self.skipped += data.get("skipped", 0)
+        self.matched += data["matched"]
+        self.skipped += data["skipped"]
+        self.scanned_bytes += data["scanned_bytes"]
 
 
 def _skip_ws(text: str, pos: int) -> int:
@@ -259,14 +281,17 @@ def _project(
     """Project steps from *step_index* over the value at *pos*.
 
     Matched items append to *out*; returns the value's end offset.
-    When *counters* is given, materialized items bump ``matched`` and
-    skipped-over values bump ``skipped``.
+    When *counters* is given, materialized items bump ``matched`` (and
+    ``scanned_bytes`` by their span) and skipped-over values bump
+    ``skipped``.
     """
     if step_index == len(path):
+        pos = _skip_ws(text, pos)
         item, end = _build_value(text, pos)
         out.append(item)
         if counters is not None:
             counters.matched += 1
+            counters.scanned_bytes += end - pos
         return end
 
     pos = _skip_ws(text, pos)
@@ -285,10 +310,16 @@ def _project(
         return _walk_array(text, pos, path, step_index, out, step.index, counters)
     # KeysOrMembers
     if ch == "[":
-        return _walk_array(text, pos, path, step_index, out, None, counters)
-    if ch == "{":
-        return _walk_object(text, pos, path, step_index, out, None, counters)
-    return _skip(text, pos, counters)
+        end = _walk_array(text, pos, path, step_index, out, None, counters)
+    elif ch == "{":
+        end = _walk_object(text, pos, path, step_index, out, None, counters)
+    else:
+        return _skip(text, pos, counters)
+    if counters is not None and step_index + 1 == len(path):
+        # A trailing keys-or-members step scans the container whose
+        # members or keys it emits: its span counts once.
+        counters.scanned_bytes += end - pos
+    return end
 
 
 def _skip(text: str, pos: int, counters: ScanCounters | None) -> int:
@@ -358,8 +389,7 @@ def _walk_object(
             if matched is not None:
                 out.extend(matched)
                 if counters is not None:
-                    counters.matched += matched_counters.matched
-                    counters.skipped += matched_counters.skipped
+                    counters.merge(matched_counters)
             return pos + 1
         raise JsonSyntaxError(f"expected ',' or '}}', found {text[pos]!r}", pos)
 
@@ -396,7 +426,12 @@ def _walk_array(
     target_index: int | None,
     counters: ScanCounters | None = None,
 ) -> int:
-    """Walk an array; ``target_index`` None means keys-or-members."""
+    """Walk an array; ``target_index`` None means keys-or-members.
+
+    A trailing keys-or-members step builds every member directly, so no
+    member adds its own span to ``scanned_bytes`` (see ``_project``).
+    """
+    emits_members = target_index is None and step_index + 1 == len(path)
     start = pos
     pos += 1  # past '['
     pos = _skip_ws(text, pos)
@@ -406,7 +441,12 @@ def _walk_array(
     while True:
         pos = _skip_ws(text, pos)
         position += 1
-        if target_index is None or position == target_index:
+        if emits_members:
+            member, pos = _build_value(text, pos)
+            out.append(member)
+            if counters is not None:
+                counters.matched += 1
+        elif target_index is None or position == target_index:
             pos = _project(text, pos, path, step_index + 1, out, counters)
             if target_index is not None:
                 # Positions only grow, so no later member can match:

@@ -462,6 +462,12 @@ class FaultInjectingSource:
         if attach is not None:
             attach(report)
 
+    def attach_scan_counters(self, counters) -> None:
+        """Delegate scan-counter attachment to the inner source."""
+        attach = getattr(self._source, "attach_scan_counters", None)
+        if attach is not None:
+            attach(counters)
+
     def configure_scan(
         self, segment_cache_dir=None, fingerprint_mode=None
     ) -> None:

@@ -75,15 +75,70 @@ class TestWarmHits:
         assert cold_items == warm_items == baseline_items
         # Projection accounting is byte-identical across cache off /
         # cold / warm; only the cache diagnostics differ.
+        assert baseline.scanned_bytes > 0
         for counters in (cold, warm):
             assert counters.matched == baseline.matched
             assert counters.skipped == baseline.skipped
+            assert counters.scanned_bytes == baseline.scanned_bytes
         assert (cold.cache_misses, cold.cache_hits) == (1, 0)
         assert (warm.cache_misses, warm.cache_hits) == (0, 1)
         # A warm hit builds no structural index at all.
         assert cold.tape_records > 0
         assert warm.tape_records == 0
         assert (baseline.cache_hits, baseline.cache_misses) == (0, 0)
+
+
+class TestSegmentUpgrade:
+    """A segment written before segment headers carried
+    ``scanned_bytes`` is a plain miss: not corrupt, and not a hit that
+    replays zero bytes."""
+
+    @staticmethod
+    def unversioned_path(cache, source_id, fingerprint, projection, policy):
+        # File naming before the format tag joined the hashed key.
+        import hashlib
+        import os
+
+        key = repr((source_id, fingerprint, projection, policy))
+        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
+        return os.path.join(cache.cache_dir, digest + ".seg")
+
+    def test_old_segment_is_a_plain_miss(self, tmp_path, monkeypatch):
+        from repro.cache.segments import SegmentCache, canonical_projection
+
+        plain, data = disk_catalog(tmp_path)
+        baseline_items, baseline = counted_scan(plain)
+        cache_dir = tmp_path / "cache"
+        cached, _ = disk_catalog(tmp_path, segment_cache_dir=str(cache_dir))
+        cache = cached.segment_cache
+        key = (
+            str(data),
+            cache.source_fingerprint(str(data)),
+            canonical_projection(PATH),
+            "fail",
+        )
+        old_counters = {
+            field: value
+            for field, value in baseline.as_dict().items()
+            if field != "scanned_bytes"
+        }
+        with monkeypatch.context() as patch:
+            patch.setattr(SegmentCache, "_segment_path", self.unversioned_path)
+            assert cache.store(*key, baseline_items, old_counters, [])
+            assert cache.load_classified(*key)[1] == "hit"
+        assert len(list(cache_dir.iterdir())) == 1
+        assert cache.load_classified(*key) == (None, "miss")
+
+        items, counters = counted_scan(cached)
+        assert items == baseline_items
+        assert (counters.cache_hits, counters.cache_misses) == (0, 1)
+        assert counters.cache_corrupt == 0
+        assert counters.scanned_bytes == baseline.scanned_bytes
+        # The rescan stored a current segment, which then hits and
+        # replays the bytes.
+        _, warm = counted_scan(cached)
+        assert warm.cache_hits == 1
+        assert warm.scanned_bytes == baseline.scanned_bytes
 
 
 class TestInvalidation:

@@ -8,7 +8,10 @@ Invariants:
    yields the same event stream as one big feed.
 3. ``parse(dumps(item)) == item`` (serializer round-trip).
 4. The projecting parser agrees with ``navigate`` over materialized items
-   for arbitrary documents and arbitrary paths.
+   for arbitrary documents and arbitrary paths; the tape, the raw
+   skipper and a span-tree reference agree on items and on the
+   ``matched``/``skipped``/``scanned_bytes`` counters, duplicate keys
+   included.
 5. ``sizeof_item`` is monotone under structural growth.
 """
 
@@ -27,7 +30,10 @@ from repro.jsonlib.path import (
     navigate,
 )
 from repro.jsonlib.serializer import dumps
+from repro.jsonlib import tape, textscan
 from repro.jsonlib.tape import scan_text
+from repro.jsonlib.textscan import ScanCounters
+from tests.jsonlib.span_reference import span_scan
 
 # Finite floats only: JSON has no NaN/Infinity.
 json_atoms = st.one_of(
@@ -162,6 +168,44 @@ def test_roundtrip_surrogate_pair_corpus():
 def test_projection_equals_navigate(value, path):
     text = json.dumps(value)
     assert list(scan_text(text, path)) == navigate(parse(text), path)
+
+
+# JSON texts written pair by pair, so objects may repeat a key (the
+# path keys are drawn from the same small set, so repeats get walked).
+_pair_keys = st.sampled_from(["a", "b", "k", "results"])
+json_texts = st.recursive(
+    json_atoms.map(json.dumps),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4).map(
+            lambda members: "[" + ", ".join(members) + "]"
+        ),
+        st.lists(st.tuples(_pair_keys, children), max_size=4).map(
+            lambda pairs: "{"
+            + ", ".join(f"{json.dumps(k)}: {v}" for k, v in pairs)
+            + "}"
+        ),
+    ),
+    max_leaves=12,
+)
+
+
+def _scan_outcome(scanner, text, path):
+    counters = ScanCounters()
+    items = list(scanner.scan_text(text, path, counters=counters))
+    return items, (counters.matched, counters.skipped, counters.scanned_bytes)
+
+
+@given(st.lists(json_texts, min_size=1, max_size=3), paths)
+@settings(max_examples=200)
+def test_scan_counters_match_span_reference(records, path):
+    text = "\n".join(records)
+    expected = span_scan(text, path)
+    expected_outcome = (
+        expected.items,
+        (expected.matched, expected.skipped, expected.scanned_bytes),
+    )
+    assert _scan_outcome(tape, text, path) == expected_outcome
+    assert _scan_outcome(textscan, text, path) == expected_outcome
 
 
 @given(json_values, st.text(max_size=6), json_values)

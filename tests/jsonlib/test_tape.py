@@ -24,6 +24,7 @@ from repro.jsonlib.tape import (
     build_value,
 )
 from repro.jsonlib.textscan import ScanCounters
+from tests.jsonlib.span_reference import span_scan
 
 
 def reference(text, path):
@@ -45,13 +46,31 @@ def both_scans(text, path, **kwargs):
     return (tape_items, tape_counters), (text_items, text_counters)
 
 
+def navigation(counters):
+    return counters.matched, counters.skipped, counters.scanned_bytes
+
+
+def outcome_of(scanner, text, path):
+    """(("ok", items) | ("err", message, offset), navigation counters,
+    tape records) of one scan of *text*."""
+    counters = ScanCounters()
+    try:
+        outcome = ("ok", list(scanner.scan_text(text, path, counters=counters)))
+    except JsonSyntaxError as error:
+        outcome = ("err", str(error), getattr(error, "offset", None))
+    return outcome, navigation(counters), counters.tape_records
+
+
 def assert_parity(text, path_text, expect_tape=True):
-    """Tape == skipper == parse-then-navigate, items and counters."""
+    """Tape == skipper == parse-then-navigate: items, matched, skipped
+    and scanned bytes (the span-tree reference counts the latter)."""
     path = parse_path(path_text)
     (tape_items, tape_c), (text_items, text_c) = both_scans(text, path)
-    assert tape_items == text_items == reference(text, path)
-    assert tape_c.matched == text_c.matched
-    assert tape_c.skipped == text_c.skipped
+    expected = span_scan(text, path)
+    assert tape_items == text_items == reference(text, path) == expected.items
+    assert navigation(tape_c) == navigation(text_c) == (
+        expected.matched, expected.skipped, expected.scanned_bytes,
+    )
     if expect_tape:
         assert tape_c.tape_records > 0
     assert text_c.tape_records == 0
@@ -189,9 +208,7 @@ class TestHostileUnicode:
             "\ufeff" + text, path
         )
         assert tape_items == text_items == [1, 2]
-        assert (tape_c.matched, tape_c.skipped) == (
-            text_c.matched, text_c.skipped,
-        )
+        assert navigation(tape_c) == navigation(text_c)
 
     def test_bom_file(self, tmp_path):
         target = tmp_path / "bom.json"
@@ -238,9 +255,7 @@ class TestChunkBoundaries:
         )
         assert tape_items == text_items
         assert tape_items == list(tape.scan_text(self.TEXT, self.PATH))
-        assert (tape_c.matched, tape_c.skipped) == (
-            text_c.matched, text_c.skipped,
-        )
+        assert navigation(tape_c) == navigation(text_c)
 
     @pytest.mark.parametrize("chunk_size", [1, 7, 64])
     def test_skip_record_events_identical_across_scanners(
@@ -262,8 +277,7 @@ class TestChunkBoundaries:
                     chunk_size=chunk_size, counters=counters,
                 )
             )
-            results[name] = (items, events, counters.matched,
-                             counters.skipped)
+            results[name] = (items, events, navigation(counters))
         assert results["tape"] == results["text"]
         assert len(results["tape"][1]) == 1  # exactly the injected record
 
@@ -288,22 +302,9 @@ class TestFallbackIdentity:
     )
     def test_same_error_and_partial_counters(self, text):
         path = parse_path('("a")')
-        outcomes = {}
-        for name, scanner in (("tape", tape), ("text", textscan)):
-            counters = ScanCounters()
-            try:
-                items = list(
-                    scanner.scan_text(text, path, counters=counters)
-                )
-                outcome = ("ok", items)
-            except JsonSyntaxError as error:
-                outcome = (
-                    "err", str(error), getattr(error, "offset", None)
-                )
-            outcomes[name] = (
-                outcome, counters.matched, counters.skipped,
-            )
-        assert outcomes["tape"] == outcomes["text"]
+        assert outcome_of(tape, text, path)[:2] == outcome_of(
+            textscan, text, path
+        )[:2]
 
     @pytest.mark.parametrize(
         "text, path_text",
@@ -321,23 +322,9 @@ class TestFallbackIdentity:
         self, text, path_text
     ):
         path = parse_path(path_text)
-        outcomes = {}
-        for name, scanner in (("tape", tape), ("text", textscan)):
-            counters = ScanCounters()
-            try:
-                items = list(
-                    scanner.scan_text(text, path, counters=counters)
-                )
-                outcome = ("ok", items)
-            except JsonSyntaxError as error:
-                outcome = (
-                    "err", str(error), getattr(error, "offset", None)
-                )
-            outcomes[name] = (
-                outcome, counters.matched, counters.skipped,
-            )
-        assert outcomes["tape"] == outcomes["text"]
-        assert outcomes["tape"][0][0] == "err"
+        tape_outcome = outcome_of(tape, text, path)
+        assert tape_outcome[:2] == outcome_of(textscan, text, path)[:2]
+        assert tape_outcome[0][0] == "err"
 
     def test_skipped_regions_stay_lenient(self):
         # The skipper never validates skipped regions; the pruned tape
@@ -348,6 +335,179 @@ class TestFallbackIdentity:
         path = parse_path('("a")')
         (tape_items, tape_c), (text_items, text_c) = both_scans(text, path)
         assert tape_items == text_items == [3]
-        assert (tape_c.matched, tape_c.skipped) == (
-            text_c.matched, text_c.skipped,
-        )
+        assert navigation(tape_c) == navigation(text_c)
+
+
+class TestIndexDepth:
+    """The index stops one level above a trailing ``()``/``("key")``."""
+
+    def test_listing6_results_array_is_one_token(self):
+        text = '{"root": [{"results": [{"v": 1}, {"v": 2}]}]}'
+        path = parse_path('("root")()("results")()')
+        counters = ScanCounters()
+        assert list(tape.scan_text(text, path, counters=counters)) == [
+            {"v": 1}, {"v": 2},
+        ]
+        # { "root" : [ { "results" : SUBTREE } ] }
+        assert counters.tape_tokens == 11
+        assert counters.scanned_bytes == len('[{"v": 1}, {"v": 2}]')
+
+    def test_key_under_members_makes_the_list_one_token(self):
+        text = '{"r": [{"d": "x", "v": 1}, {"d": "y"}, [2]]}'
+        path = parse_path('("r")()("d")')
+        counters = ScanCounters()
+        assert list(tape.scan_text(text, path, counters=counters)) == ["x", "y"]
+        # { "r" : SUBTREE }
+        assert counters.tape_tokens == 5
+        assert counters.scanned_bytes == len('"x"') + len('"y"')
+        assert (counters.matched, counters.skipped) == (2, 2)
+
+    def test_index_plan(self):
+        plans = {
+            '("root")()("results")()': 3,
+            '("root")()("results")()("date")': 3,
+            '("a")("k")': 1,
+            '("k")': 0,
+            "()": 0,
+            '()("k")': 0,
+            '("a")(2)': 2,
+            "": 0,
+        }
+        for path_text, depth in plans.items():
+            assert tape.index_plan(parse_path(path_text))[0] == depth, path_text
+
+    def test_index_step_keeps_full_depth(self):
+        record, _ = build_tape('{"a": [[1], [2]]}', 0, 2)
+        assert record.kinds.count(_SUBTREE) == 2
+        assert_parity('{"a": [[1], [2]]}', '("a")(2)')
+
+    def test_decoded_span_is_kept_on_the_tape(self):
+        text = '{"a": {"x": [1, 2]}}'
+        record, _ = build_tape(text, 0, 1)
+        (subtree,) = [i for i, k in enumerate(record.kinds) if k == _SUBTREE]
+        assert record.values[subtree] == {"x": [1, 2]}
+        value, _ = build_value(text, record, subtree)
+        assert value is record.values[subtree]
+
+    def test_refused_span_is_hopped_and_has_no_value(self):
+        text = '{"a": [1 2], "b": [NaN]}'
+        record, end = build_tape(text, 0, 1)
+        assert end == len(text)
+        assert record.kinds.count(_SUBTREE) == 2
+        assert record.values == {}
+        (first, _) = [i for i, k in enumerate(record.kinds) if k == _SUBTREE]
+        with pytest.raises(JsonSyntaxError):
+            build_value(text, record, first)
+
+
+class TestLastStepOnDecodedSpans:
+    """Tape, skipper and the span-tree reference agree on items,
+    ``matched``, ``skipped`` and ``scanned_bytes`` for paths ending in
+    ``()`` and ``("k")`` over every shape the decoded-span fast path
+    must either resolve or hand back to the token walk."""
+
+    @pytest.mark.parametrize(
+        "text, path_text",
+        [
+            # lists under a trailing ()
+            ('{"a": [[1, 2], [], [{"x": 1}], [[3]]]}', '("a")()()'),
+            ('{"a": [ 1 ,\n "s" , null ]}', '("a")()'),
+            ('{"a": []} {"a": [true]}', '("a")()'),
+            # objects under a trailing (): keys, each value skipped
+            ('{"a": {"x": 1, "y": [2], "z": {}}}', '("a")()'),
+            ('{"a": [{"x": 1}, [2], {}]}', '("a")()()'),
+            # key lookups: hit, miss, empty object
+            ('{"a": [{"k": 1, "j": 2}, {"j": 3}, {}]}', '("a")()("k")'),
+            # every leaf kind the width shortcut must size exactly
+            ('{"a": [{"k": "plain"}, {"k": "esc\\"aped"}, {"k": "\\u00e9"},'
+             ' {"k": 1.50}, {"k": -0}, {"k": 0}, {"k": 12}, {"k": -7},'
+             ' {"k": 1e3}, {"k": true}, {"k": false}, {"k": null},'
+             ' {"k": {"z": [1]}}, {"k": [ ]}, {"k": 123456789012345678901}]}',
+             '("a")()("k")'),
+            # an escape elsewhere in the span disables the string shortcut
+            ('{"a": [{"j": "\\n", "k": "v"}]}', '("a")()("k")'),
+            # a key lookup on one decoded object, each leaf kind
+            ('{"a": {"k": 1.5, "j": 2}} {"a": {"k": "x"}} {"a": {"k": "\\n"}}'
+             ' {"a": {"j": 1}} {"a": {"k": [1, {"z": null}]}}', '("a")("k")'),
+            # whitespace inside spans
+            ('{"a": [ { "k" :\t"v" , "j" : [ 1 ] } ]}', '("a")()("k")'),
+        ],
+    )
+    def test_decoded_last_step(self, text, path_text):
+        assert_parity(text, path_text)
+
+    @pytest.mark.parametrize(
+        "text, path_text",
+        [
+            ('{"a": [{"k": 1, "k": 2}, {"k": 3}]}', '("a")()("k")'),
+            ('{"a": [{"k": 1, "j": 0, "k": {"z": 2}}]}', '("a")()("k")'),
+            ('{"k": 1, "k": 2, "j": 3}', '("k")'),
+            ('{"a": [{"x": 1, "x": 2, "y": 3}]}', '("a")()()'),
+            ('{"a": [{"k": {"q": 1, "q": 2}}]}', '("a")()("k")'),
+        ],
+    )
+    def test_duplicate_keys_stay_on_the_tape(self, text, path_text):
+        # assert_parity also checks tape_records > 0: the record was
+        # answered by the tape, not handed to the skipper.
+        assert_parity(text, path_text)
+
+    @pytest.mark.parametrize(
+        "text, path_text",
+        [
+            ('{"a": [[1], "s", 3, null, {"k": 4}]}', '("a")()("k")'),
+            ('[{"k": 1}] {"k": 2}', '("k")'),
+            ('{"a": {"k": 1}}', '("a")()("k")'),
+        ],
+    )
+    def test_key_step_over_non_objects(self, text, path_text):
+        assert_parity(text, path_text)
+
+    @pytest.mark.parametrize(
+        "text, path_text",
+        [
+            ('{"k": 1, "j": 2} [3] {"k": [1]} {"j": {}}', '("k")'),
+            ('[1, 2] {"a": 1, "b": 2} [] {}', "()"),
+        ],
+    )
+    def test_length_one_path(self, text, path_text):
+        assert_parity(text, path_text)
+
+    @pytest.mark.parametrize(
+        "text, path_text",
+        [
+            # NaN/Infinity inside skipped subtrees: both scanners hop them
+            ('{"a": [{"k": 1, "j": [NaN]}]}', '("a")()("k")'),
+            ('{"skip": {"x": [Infinity]}, "a": [1]}', '("a")()'),
+            ('{"a": [{"j": {"x": -Infinity}}, {"k": 2}]}', '("a")()("k")'),
+            # junk the decoder refuses but the skipper hops
+            ('{"a": [{"k": 1, "j": [1 2]}]}', '("a")()("k")'),
+            ('{"a": [{"j": {"x" 1}}, {"k": "v"}]}', '("a")()("k")'),
+            ('{"skip": [1 2], "k": 3}', '("k")'),
+        ],
+    )
+    def test_refused_spans_inside_skipped_values(self, text, path_text):
+        path = parse_path(path_text)
+        tape_outcome = outcome_of(tape, text, path)
+        assert tape_outcome[:2] == outcome_of(textscan, text, path)[:2]
+        assert tape_outcome[0][0] == "ok"
+        assert tape_outcome[2] > 0  # answered on the tape
+
+    @pytest.mark.parametrize(
+        "text, path_text",
+        [
+            # NaN/Infinity inside projected values: both scanners refuse
+            ('{"a": [{"k": [NaN]}]}', '("a")()("k")'),
+            ('{"a": [{"k": NaN}]}', '("a")()("k")'),
+            ('{"a": [[1, Infinity]]}', '("a")()'),
+            ('{"a": [{"k": 1, "k": [NaN]}]}', '("a")()("k")'),
+            # junk inside the projected value
+            ('{"a": [{"k": [1 2]}]}', '("a")()("k")'),
+            ('{"a": [[1 2]]}', '("a")()'),
+            ('{"a": [{"k": 1 "j": 2}]}', '("a")()("k")'),
+        ],
+    )
+    def test_refused_spans_inside_projected_values(self, text, path_text):
+        path = parse_path(path_text)
+        tape_outcome = outcome_of(tape, text, path)
+        assert tape_outcome[:2] == outcome_of(textscan, text, path)[:2]
+        assert tape_outcome[0][0] == "err"

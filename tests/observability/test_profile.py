@@ -263,9 +263,9 @@ class TestGoldenExplain:
                 "DISTRIBUTE-RESULT tuples_in=3 tuples_out=3 span=39",
                 "  ASSIGN tuples_in=3 tuples_out=3 span=29",
                 "    SELECT tuples_in=5 tuples_out=3 span=19",
-                "      DATASCAN bytes_scanned=2740 items_scanned=5 "
+                "      DATASCAN bytes_scanned=407 items_scanned=5 "
                 "projection_hits=5 projection_skips=0 "
-                "tape_records=2 tape_tokens=32 tuples_out=5 span=7",
+                "tape_records=2 tape_tokens=22 tuples_out=5 span=7",
                 "",
                 "== rewrite audit ==",
             ]

@@ -20,9 +20,15 @@ cannot measure parallelism.
 distinct projection the paper queries' compiled plans carry: the
 product path through ``CollectionCatalog.scan_collection`` (the tape)
 uncached plus segment-cache cold and warm passes, with items-per-second
-and the warm-vs-cold speedup.  The raw-text skipper and the
-differential harness's eager parse-then-navigate reference are timed
-directly on the same files, only to give ``speedup_vs_eager``.
+and the warm-vs-cold speedup.  ``stages`` splits the tape's time into
+its two phases, as "On-Demand JSON" does: stage 1 (``build_tape``, the
+structural index) and stage 2 (navigation and materialization), with
+the index's token count.  The raw-text skipper and the differential
+harness's eager parse-then-navigate reference are timed directly on
+the same files, to give ``speedup_vs_eager`` — and as a gate: the run
+exits non-zero when the tape's items/s falls below the skipper's on
+any projection.  Both come from the same run on the same host, so the
+gate is a per-core ratio, not a cross-host time.
 
 Usage::
 
@@ -48,8 +54,8 @@ from repro.algebra.operators import DataScan
 from repro.bench.queries import ALL_QUERIES, q0, q1, q2
 from repro.compiler.pipeline import compile_query
 from repro.correctness.harness import eager_scan_file
-from repro.data.catalog import CollectionCatalog
-from repro.jsonlib import textscan
+from repro.data.catalog import CollectionCatalog, read_json_file
+from repro.jsonlib import tape, textscan
 
 QUERIES = {"Q0": q0, "Q1": q1, "Q2": q2}
 
@@ -227,6 +233,41 @@ def _direct_scan(scan, files: list[str], path):
     return lambda: sum(len(list(scan(file_path, path))) for file_path in files)
 
 
+def _stage_split(files: list[str], path) -> dict:
+    """Time the tape's two phases separately over every record.
+
+    Stage 1 is ``build_tape`` (indexing, including the span decodes);
+    stage 2 is navigation over the built tape.  Records are timed one
+    at a time so only one file's tapes are alive at once.
+    """
+    index_seconds = navigate_seconds = 0.0
+    records = tokens = items = 0
+    plan = tape.index_plan(path)
+    clock = time.perf_counter
+    for file_path in files:
+        text = read_json_file(file_path)
+        pos = textscan._skip_ws(text, 0)
+        while pos < len(text):
+            out: list = []
+            start = clock()
+            record, pos = tape.build_tape(text, pos, *plan)
+            built = clock()
+            tape.navigate_tape(text, record, path, out, None)
+            index_seconds += built - start
+            navigate_seconds += clock() - built
+            records += 1
+            tokens += len(record)
+            items += len(out)
+            pos = textscan._skip_ws(text, pos)
+    return {
+        "index_seconds": index_seconds,
+        "navigate_seconds": navigate_seconds,
+        "tape_records": records,
+        "tape_tokens": tokens,
+        "items": items,
+    }
+
+
 def bench_projection(base_dir: str, path, repeat: int) -> dict:
     """Product scan (uncached, cache cold, cache warm) of one projection,
     plus the skipper and eager reference for ``speedup_vs_eager``."""
@@ -245,7 +286,16 @@ def bench_projection(base_dir: str, path, repeat: int) -> dict:
         "text": _best_of(repeat, _direct_scan(textscan.scan_file, files, path)),
         "eager": _best_of(repeat, _direct_scan(eager_scan_file, files, path)),
     }
-    counts = {cold_items, warm_items, *(n for _, n in references.values())}
+    stages = min(
+        (_stage_split(files, path) for _ in range(repeat)),
+        key=lambda split: split["index_seconds"] + split["navigate_seconds"],
+    )
+    counts = {
+        cold_items,
+        warm_items,
+        stages.pop("items"),
+        *(n for _, n in references.values()),
+    }
     if counts != {items}:
         raise SystemExit(f"{path}: scanners disagree on the item count")
     eager_seconds = references["eager"][0]
@@ -257,6 +307,7 @@ def bench_projection(base_dir: str, path, repeat: int) -> dict:
         "cache_cold_seconds": cold,
         "cache_warm_seconds": warm,
         "warm_speedup_vs_cold": cold / warm if warm > 0 else None,
+        "stages": stages,
         "references": {
             name: {
                 "uncached_seconds": seconds,
@@ -268,6 +319,16 @@ def bench_projection(base_dir: str, path, repeat: int) -> dict:
             for name, (seconds, _) in references.items()
         },
     }
+
+
+def slower_than_skipper(report: dict) -> list[str]:
+    """Projections whose tape items/s is below the raw skipper's."""
+    return [
+        projection
+        for projection, entry in report["projections"].items()
+        if entry["items_per_second"]
+        < entry["references"]["text"]["items_per_second"]
+    ]
 
 
 def run_scan(args: argparse.Namespace) -> dict:
@@ -299,7 +360,12 @@ def run_scan(args: argparse.Namespace) -> dict:
                 f"{entry['speedup_vs_eager']:.1f}x eager), "
                 f"cold {entry['cache_cold_seconds']:.3f}s, "
                 f"warm {entry['cache_warm_seconds']:.3f}s "
-                f"({entry['warm_speedup_vs_cold']:.1f}x)"
+                f"({entry['warm_speedup_vs_cold']:.1f}x); "
+                f"index {entry['stages']['index_seconds']:.3f}s "
+                f"({entry['stages']['tape_tokens']} tokens), "
+                f"navigate {entry['stages']['navigate_seconds']:.3f}s; "
+                f"skipper {entry['references']['text']['items_per_second']:.0f}"
+                " items/s"
             )
     return report
 
@@ -334,6 +400,15 @@ def main(argv: list[str] | None = None) -> int:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"wrote {out}")
+    if args.scan:
+        slow = slower_than_skipper(report)
+        if slow:
+            print(
+                "FAIL: the tape scans fewer items/s than the raw skipper "
+                f"on {', '.join(slow)}",
+                file=sys.stderr,
+            )
+            return 1
     return 0
 
 
